@@ -1,7 +1,6 @@
 // Google-benchmark micro-kernels backing the headline numbers: probabilistic
-// gate ops (forward+backward), sigmoid embedding, bit-parallel circuit
-// evaluation, CDCL propagation, and the transformation itself on a
-// mid-size instance.
+// gate ops (forward+backward), bit-parallel circuit evaluation, CDCL
+// propagation, and the transformation itself on a mid-size instance.
 
 #include <benchmark/benchmark.h>
 
@@ -10,28 +9,12 @@
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
 #include "solver/cdcl.hpp"
-#include "tensor/tensor.hpp"
 #include "transform/transform.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace hts;
-
-void BM_SigmoidKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> in(n);
-  std::vector<float> out(n);
-  util::Rng rng(1);
-  for (auto& x : in) x = static_cast<float>(rng.next_gaussian());
-  for (auto _ : state) {
-    tensor::sigmoid(tensor::Policy::kSerial, in.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SigmoidKernel)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 /// One full GD iteration (embed + forward + backward + update) on a
 /// generated q-family circuit; items = probabilistic ops executed.

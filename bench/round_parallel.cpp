@@ -9,8 +9,8 @@
 //   HTS_BENCH_WORKERS  comma-free max worker count to sweep to
 //                      (default: hardware concurrency)
 //   HTS_BENCH_POLICY   per-engine kernel scheduling under the workers:
-//                      serial (default) | tiles | level — recorded in the
-//                      JSON so trajectory plots can segment by mode
+//                      serial (default) | tiles — recorded in the JSON so
+//                      trajectory plots can segment by mode
 //
 // Accepts `--json <path>` to mirror the result rows machine-readably (see
 // bench_common.hpp's JsonWriter).  Records carry the harvest pipeline's
@@ -34,7 +34,6 @@ using namespace hts;
 tensor::Policy policy_from_env() {
   const std::string name = util::env_string("HTS_BENCH_POLICY", "serial");
   if (name == "tiles") return tensor::Policy::kDataParallel;
-  if (name == "level") return tensor::Policy::kLevelParallel;
   if (name != "serial") {
     std::fprintf(stderr,
                  "[round_parallel] unknown HTS_BENCH_POLICY '%s', using "

@@ -1,7 +1,6 @@
 // Tape-engine bench: GD iterations/sec of the vectorized engine vs the
 // pre-optimization baseline, on one representative instance per benchgen
-// family (same batch, same circuit), plus a scheduling-policy sweep of the
-// levelized execution plan.
+// family (same batch, same circuit), plus a scheduling-policy sweep.
 //
 // Modes:
 //   baseline   raw gate-per-gate tape, exact std::exp sigmoid, serial —
@@ -11,8 +10,6 @@
 //   opt+fsig   optimized tape + fast polynomial sigmoid, serial per-tile —
 //              the default engine configuration every sampler runs
 //   tiles      opt+fsig dispatched per tile across the thread pool
-//   level      opt+fsig on the level-parallel plan: wide levels split into
-//              (tile x op-range) work items, narrow level runs fused
 //
 // Besides GD iterations/sec the bench measures the *harvest* side of the
 // loop: rows validated/sec of the scalar Circuit::eval64 walk vs the
@@ -22,8 +19,7 @@
 // engine plan (run count, longest/mean run) ride along on every record.
 //
 // The per-instance header reports the plan shape (level count, width
-// histogram): wide-but-shallow families are where `level` can beat the
-// per-tile policies, because parallelism stops being capped at batch/64.
+// histogram).
 //
 // Accepts `--json <path>` (bench_common JSON schema) so the perf trajectory
 // can be archived; CI's perf-smoke job runs this bench with a tiny budget
@@ -226,9 +222,6 @@ int main(int argc, char** argv) {
     const ModeResult opt_tiles =
         time_iterations(opt, batch, /*fast_sigmoid=*/true,
                         tensor::Policy::kDataParallel, budget_ms, env.seed);
-    const ModeResult opt_level =
-        time_iterations(opt, batch, /*fast_sigmoid=*/true,
-                        tensor::Policy::kLevelParallel, budget_ms, env.seed);
 
     struct Row {
       const char* mode;
@@ -240,8 +233,7 @@ int main(int argc, char** argv) {
         {"baseline", tensor::Policy::kSerial, &raw, &base},
         {"opt", tensor::Policy::kSerial, &opt, &opt_exact},
         {"opt+fsig", tensor::Policy::kSerial, &opt, &opt_fast},
-        {"tiles", tensor::Policy::kDataParallel, &opt, &opt_tiles},
-        {"level", tensor::Policy::kLevelParallel, &opt, &opt_level}};
+        {"tiles", tensor::Policy::kDataParallel, &opt, &opt_tiles}};
     for (const Row& row : rows) {
       const double speedup = base.iters_per_sec > 0.0
                                  ? row.result->iters_per_sec / base.iters_per_sec
@@ -361,12 +353,8 @@ int main(int argc, char** argv) {
       harvest_doubled >= 2 ? "met" : "NOT met at this budget", harvest_doubled);
   std::printf(
       "\nReading: `opt` isolates the tape optimizer, `opt+fsig` is the serial\n"
-      "per-tile engine every sampler runs by default, `tiles`/`level` put the\n"
-      "same tape on the thread pool.  `level` pays one barrier per wide level\n"
-      "and wins on wide-but-shallow plans with multiple cores (parallelism\n"
-      "scales with level width, not just batch/64 tiles); on a single\n"
-      "hardware thread it degenerates to the serial plan walk, so `vs\n"
-      "pertile` ~1.0x there only confirms the scheduler adds no overhead.\n"
+      "per-tile engine every sampler runs by default, `tiles` puts the same\n"
+      "tape on the thread pool, one contiguous tile range per pool thread.\n"
       "The optimizer acceptance bar is >= 2x iterations/sec over baseline on\n"
       "at least one family%s.\n",
       any_doubled ? " -- met" : " -- NOT met at this budget");

@@ -269,8 +269,8 @@ RunResult run_parallel(const GdProblem& problem, const cnf::Formula& formula,
   }
   if (extras != nullptr) {
     extras->uniques_per_iteration = std::move(uniques_per_iteration);
-    // Total footprint of the fleet (the Fig. 3 memory metric scales with
-    // workers just as batch does).
+    // Total footprint of the fleet (engine memory scales with workers just
+    // as V does with batch).
     extras->engine_memory_bytes = engine_bytes;
     extras->rounds = rounds;
     extras->restarted_rows = restarted_rows;

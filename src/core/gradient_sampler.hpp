@@ -87,7 +87,7 @@ class GradientSampler : public Sampler {
     return extras_.uniques_per_iteration;
   }
 
-  /// Engine buffer bytes of the most recent run (Fig. 3 memory metric).
+  /// Engine bytes held by the most recent run (Engine::memory_bytes).
   [[nodiscard]] std::size_t engine_memory_bytes() const {
     return extras_.engine_memory_bytes;
   }

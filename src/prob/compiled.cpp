@@ -384,8 +384,9 @@ void CompiledCircuit::optimize() {
 // constants sit below level 0; an op's level is the max of its operand
 // producers' levels).  The tape is already topologically ordered, so one
 // forward walk assigns every level; a stable counting sort then regroups
-// ops by level, and a per-level union-find over operand slots orders each
-// level's ops into operand-disjoint groups for race-free backward chunking.
+// ops by level in tape order, and a stable sort by opcode orders each
+// level.  Ops sharing an operand therefore sit in (opcode, tape) order, so
+// the reverse walk accumulates each slot's gradient in a fixed order.
 void CompiledCircuit::build_plan() {
   plan_ = ExecPlan{};
   const std::size_t n = tape_.size();
@@ -398,89 +399,30 @@ void CompiledCircuit::build_plan() {
         return lvl;
       },
       [this](std::size_t i) { return tape_[i].dst; });
-  const std::uint32_t n_levels = static_cast<std::uint32_t>(levels.n_levels());
   plan_.level_begin = std::move(levels.level_begin);
-  const std::vector<std::uint32_t>& order = levels.order;
+  std::vector<std::uint32_t>& order = levels.order;
+  for (std::size_t l = 0; l + 1 < plan_.level_begin.size(); ++l) {
+    std::stable_sort(order.begin() + plan_.level_begin[l],
+                     order.begin() + plan_.level_begin[l + 1],
+                     [this](std::uint32_t x, std::uint32_t y) {
+                       return tape_[x].op < tape_[y].op;
+                     });
+  }
 
   plan_.op.resize(n);
   plan_.dst.resize(n);
   plan_.a.resize(n);
   plan_.b.resize(n);
-  plan_.level_group.assign(static_cast<std::size_t>(n_levels) + 1, 0);
-
-  constexpr std::uint32_t kNoDense = 0xffffffffu;
-  std::vector<std::uint32_t> parent;
-  std::vector<std::uint32_t> root;
-  std::vector<std::uint32_t> dense;
-  std::vector<std::uint32_t> local;
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_owner;
-  auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-
-  for (std::uint32_t lvl = 0; lvl < n_levels; ++lvl) {
-    const std::uint32_t begin = plan_.level_begin[lvl];
-    const std::uint32_t end = plan_.level_begin[lvl + 1];
-    const std::uint32_t m = end - begin;
-    parent.resize(m);
-    std::iota(parent.begin(), parent.end(), 0u);
-    slot_owner.clear();
-    auto claim = [&](std::uint32_t slot, std::uint32_t j) {
-      const auto [it, fresh] = slot_owner.try_emplace(slot, j);
-      if (!fresh) parent[find(j)] = find(it->second);
-    };
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const TapeOp& t = tape_[order[begin + j]];
-      claim(t.a, j);
-      if (op_is_binary(t.op)) claim(t.b, j);
-    }
-    // Cluster each connected component contiguously, components ordered by
-    // first appearance and members kept in tape order — the closest the
-    // grouped layout can stay to the original op order (locality).
-    root.resize(m);
-    dense.assign(m, kNoDense);
-    std::uint32_t next_dense = 0;
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const std::uint32_t r = find(j);
-      if (dense[r] == kNoDense) dense[r] = next_dense++;
-      root[j] = dense[r];
-    }
-    // Secondary key: opcode.  Ops within a group may run in any fixed order
-    // (the plan order is canonical for determinism); clustering same-opcode
-    // runs keeps the kernel dispatch branch predictable.
-    local.resize(m);
-    std::iota(local.begin(), local.end(), 0u);
-    auto opcode_of = [this, &order, begin](std::uint32_t j) {
-      return static_cast<std::uint32_t>(tape_[order[begin + j]].op);
-    };
-    std::stable_sort(local.begin(), local.end(),
-                     [&root, &opcode_of](std::uint32_t x, std::uint32_t y) {
-                       if (root[x] != root[y]) return root[x] < root[y];
-                       return opcode_of(x) < opcode_of(y);
-                     });
-    for (std::uint32_t jj = 0; jj < m; ++jj) {
-      const std::uint32_t k = begin + jj;
-      const TapeOp& t = tape_[order[begin + local[jj]]];
-      plan_.op[k] = t.op;
-      plan_.dst[k] = t.dst;
-      plan_.a[k] = t.a;
-      plan_.b[k] = op_is_binary(t.op) ? t.b : t.a;
-      if (jj == 0 || root[local[jj]] != root[local[jj - 1]]) {
-        plan_.group_begin.push_back(k);
-      }
-    }
-    plan_.level_group[lvl + 1] =
-        static_cast<std::uint32_t>(plan_.group_begin.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    const TapeOp& t = tape_[order[k]];
+    plan_.op[k] = t.op;
+    plan_.dst[k] = t.dst;
+    plan_.a[k] = t.a;
+    plan_.b[k] = op_is_binary(t.op) ? t.b : t.a;
   }
-  plan_.group_begin.push_back(static_cast<std::uint32_t>(n));
 
   // Opcode runs: maximal same-opcode stretches of the plan order, split at
-  // level boundaries (a fused narrow-level range may still execute several
-  // runs back to back; the run iterator clamps to any [begin, end) range).
+  // level boundaries.
   plan_.run_begin = util::partition_opcode_runs(plan_.op, plan_.level_begin);
 
   opt_stats_.n_levels = plan_.n_levels();

@@ -35,9 +35,8 @@
 // is off) the tape is *levelized*: ops are assigned ASAP levels over the
 // slot dependency DAG and regrouped into a structure-of-arrays ExecPlan.
 // Ops within a level are mutually independent (every operand is produced at
-// a strictly lower level), which is what lets the engine's kLevelParallel
-// policy split a level's ops across threads *within* one 64-row tile
-// instead of only across tiles.
+// a strictly lower level), so each level can be sorted by opcode into long
+// same-opcode runs without changing any result.
 
 #include <cstdint>
 #include <vector>
@@ -104,29 +103,24 @@ struct OptStats {
 ///
 /// Ops are regrouped by ASAP level; within a level every operand slot is
 /// produced at a strictly lower level, so the level's ops can execute in any
-/// order (or concurrently) for the *forward* pass.  The backward pass
-/// accumulates gradients into operand slots, and two ops of one level may
-/// share an operand — ops are therefore clustered (union-find over operand
-/// slots) into *groups* whose operand sets are disjoint across groups:
-/// chunking the backward sweep along group boundaries is race-free and
-/// deterministic.
+/// order for the *forward* pass.  The backward pass accumulates gradients
+/// into operand slots, and two ops of one level may share an operand; the
+/// plan order (reversed) fixes the order of those accumulations, so every
+/// executor that walks the plan gets bit-identical gradients.
 struct ExecPlan {
-  // Parallel arrays, one entry per tape op, ordered by (level, group).
+  // Parallel arrays, one entry per tape op, ordered by (level, opcode,
+  // tape index).
   std::vector<OpCode> op;
   std::vector<std::uint32_t> dst;
   std::vector<std::uint32_t> a;
   std::vector<std::uint32_t> b;
   /// Level l spans plan indices [level_begin[l], level_begin[l + 1]).
   std::vector<std::uint32_t> level_begin;
-  /// Group g spans plan indices [group_begin[g], group_begin[g + 1]); the
-  /// groups of level l are [level_group[l], level_group[l + 1]).
-  std::vector<std::uint32_t> group_begin;
-  std::vector<std::uint32_t> level_group;
   /// Opcode runs: run k spans plan indices [run_begin[k], run_begin[k + 1]),
   /// every op of a run shares one opcode, and runs never cross a level
   /// boundary.  The engine dispatches kernels once per run (a run-length
-  /// inner loop replaces the per-op switch); the plan's within-level
-  /// (group, opcode) order is what makes runs long.
+  /// inner loop replaces the per-op switch); the plan's within-level opcode
+  /// order makes one run per (level, opcode).
   std::vector<std::uint32_t> run_begin;
 
   [[nodiscard]] std::size_t n_ops() const { return op.size(); }
@@ -202,8 +196,8 @@ class CompiledCircuit {
   /// tapes too, the rewrite counters only when Options::optimize is on.
   [[nodiscard]] const OptStats& opt_stats() const { return opt_stats_; }
 
-  /// Levelized execution plan over tape(); always built (raw or optimized)
-  /// so any tape can run under tensor::Policy::kLevelParallel.
+  /// Levelized execution plan over tape(); always built (raw or optimized),
+  /// it is what the engine executes.
   [[nodiscard]] const ExecPlan& plan() const { return plan_; }
 
  private:

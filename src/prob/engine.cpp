@@ -5,16 +5,22 @@
 #include <cmath>
 
 #include "tensor/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hts::prob {
 
-// Storage is tiled: the batch is cut into tiles of kTileRows rows, and each
-// tile stores all of its slots contiguously ([tile][slot][row-in-tile]).
-// A GD iteration touches one tile at a time, so the working set per thread
-// is slots * kTileRows * 4 bytes * 2 (activations + gradients) — cache
-// resident for typical circuits — instead of streaming the whole batch per
-// op.  kTileRows == 64 also makes hardening emit exactly one machine word
-// per (input, tile).
+// V is tiled: the batch is cut into tiles of kTileRows rows, and each tile
+// stores all of its inputs contiguously ([tile][input][row-in-tile]).  A GD
+// iteration touches one tile at a time: embed, forward, backward and update
+// all run inside one part's scratch (activations then gradients,
+// [slot][row-in-tile] each), so the working set per thread is
+// slots * kTileRows * 4 bytes * 2 — cache resident for typical circuits —
+// and the scratch is reused by the part's next tile.  Reuse is sound
+// because the plan is SSA with def-before-use (the plan verifier proves
+// both): every slot a tile reads was written earlier in that tile's own
+// pass, except the constant slots, which no op writes and which are filled
+// once per part.  kTileRows == 64 also makes hardening emit exactly one
+// machine word per (input, tile).
 //
 // Kernels process a tile as kTileRows / 8 width-8 SIMD vectors (see
 // tensor/simd.hpp).  Per lane every kernel performs the same float
@@ -24,13 +30,7 @@ namespace hts::prob {
 // switches off.  The library builds with -ffp-contract=off so fused ops
 // (kAndNot = 1 - a*b, ...) round exactly like their two-op expansions.
 //
-// Two sweep drivers share the opcode-batched kernels below:
-//   - the per-tile driver (kSerial / kDataParallel) walks the whole plan
-//     linearly inside each tile, parallelizing across tiles only;
-//   - the level driver (kLevelParallel) walks the same plan stage by stage,
-//     splitting wide levels into (tile x op-range) work items so parallelism
-//     also scales with level width.
-// Every policy executes the identical plan-order float sequence (forward in
+// Every policy executes the identical per-tile float sequence (forward in
 // plan order, backward in reverse plan order), so *all* results — forward
 // activations, loss, gradients, and V after descent — are bit-identical
 // across policies and thread counts.
@@ -194,6 +194,25 @@ inline void backward_run(OpCode code, const ExecPlan& plan, std::uint32_t begin,
   }
 }
 
+/// Forward pass of one tile: every run of the plan, in plan order.
+inline void forward_tile(const ExecPlan& plan, float* act) {
+  const auto& rb = plan.run_begin;
+  for (std::size_t k = 0; k < plan.n_runs(); ++k) {
+    forward_run(plan.op[rb[k]], plan, rb[k], rb[k + 1], act);
+  }
+}
+
+/// Backward pass of one tile: runs in reverse plan order, each unwinding
+/// its ops in reverse, so every slot accumulates its gradient contributions
+/// in the one order the plan fixes.
+inline void backward_tile(const ExecPlan& plan, const float* act,
+                          float* grad) {
+  const auto& rb = plan.run_begin;
+  for (std::size_t k = plan.n_runs(); k-- > 0;) {
+    backward_run(plan.op[rb[k]], plan, rb[k], rb[k + 1], act, grad);
+  }
+}
+
 }  // namespace
 
 Engine::Engine(const CompiledCircuit& compiled, Config config)
@@ -201,10 +220,14 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
   HTS_CHECK(config_.batch > 0);
   n_tiles_ = (config_.batch + kTileRows - 1) / kTileRows;
   const std::size_t padded = n_tiles_ * kTileRows;
+  if (config_.policy == tensor::Policy::kDataParallel) {
+    n_parts_ = std::min(n_tiles_, util::ThreadPool::global().size());
+  }
+  const std::size_t part_floats = 2 * compiled_->n_slots() * kTileRows;
   v_.resize(compiled_->n_circuit_inputs() * padded);
-  activations_.resize(compiled_->n_slots() * padded);
-  gradients_.resize(compiled_->n_slots() * padded);
-  v_grad_.resize(compiled_->n_circuit_inputs() * padded);
+  scratch_.resize(n_parts_ * part_floats);
+  output_act_.resize(compiled_->outputs().size() * padded);
+  row_loss_.resize(padded);
   tile_loss_.assign(n_tiles_, 0.0);
   // Resolve bias terms once: in-cone inputs become slot terms, cone-free
   // inputs become direct V-side terms.  Zero-weight and out-of-range
@@ -213,27 +236,22 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
     if (bias.weight == 0.0f || bias.input >= compiled_->n_circuit_inputs()) {
       continue;
     }
-    const std::uint32_t slot = compiled_->input_slot()[bias.input];
+    const std::int32_t slot = compiled_->input_slot()[bias.input];
     if (slot == kNoSlot) {
       free_biases_.push_back({bias.input, bias.target, bias.weight});
     } else {
-      slot_biases_.push_back({slot, bias.target, bias.weight});
+      slot_biases_.push_back(
+          {static_cast<std::uint32_t>(slot), bias.target, bias.weight});
     }
   }
-  // Constant slots never change: fill once, per tile.
-  for (const CompiledCircuit::ConstSlot& c : compiled_->const_slots()) {
-    for (std::size_t t = 0; t < n_tiles_; ++t) {
-      float* row = activations_.data() +
-                   (t * compiled_->n_slots() + c.slot) * kTileRows;
+  // Constant slots are never written by an op: fill once per part.
+  for (std::size_t p = 0; p < n_parts_; ++p) {
+    float* act = scratch_.data() + p * part_floats;
+    for (const CompiledCircuit::ConstSlot& c : compiled_->const_slots()) {
+      float* row = act + static_cast<std::size_t>(c.slot) * kTileRows;
       std::fill(row, row + kTileRows, c.value);
     }
   }
-  if (config_.policy == tensor::Policy::kLevelParallel) build_schedule();
-}
-
-std::size_t Engine::act_index(std::uint32_t slot, std::size_t row) const {
-  const std::size_t tile = row / kTileRows;
-  return (tile * compiled_->n_slots() + slot) * kTileRows + (row % kTileRows);
 }
 
 std::size_t Engine::v_index(std::size_t input, std::size_t row) const {
@@ -301,30 +319,18 @@ void Engine::sigmoid_row(const float* v_row, float* out) const {
   }
 }
 
-void Engine::embed_tile(std::size_t tile) {
+void Engine::embed_tile(std::size_t tile, float* act) const {
   const std::size_t n_inputs = compiled_->n_circuit_inputs();
-  float* act = activations_.data() + tile * compiled_->n_slots() * kTileRows;
   const float* v = v_.data() + tile * n_inputs * kTileRows;
   const auto& input_slots = compiled_->input_slot();
   for (std::size_t i = 0; i < n_inputs; ++i) {
     if (input_slots[i] == kNoSlot) continue;
-    const float* v_row = v + i * kTileRows;
-    float* a_row = act + static_cast<std::size_t>(input_slots[i]) * kTileRows;
-    if (config_.fast_sigmoid) {
-      for (std::size_t x = 0; x < kTileRows; x += kStep) {
-        store(a_row + x, tensor::simd::fast_sigmoid(load(v_row + x)));
-      }
-    } else {
-      for (std::size_t r = 0; r < kTileRows; ++r) {
-        a_row[r] = 1.0f / (1.0f + std::exp(-v_row[r]));
-      }
-    }
+    sigmoid_row(v + i * kTileRows,
+                act + static_cast<std::size_t>(input_slots[i]) * kTileRows);
   }
 }
 
-double Engine::tile_loss(std::size_t tile) const {
-  const float* act =
-      activations_.data() + tile * compiled_->n_slots() * kTileRows;
+double Engine::tile_loss(std::size_t tile, const float* act) const {
   // Rows past the batch in the final tile are computed but never harvested
   // and excluded from the loss.
   const std::size_t rows =
@@ -361,13 +367,32 @@ double Engine::tile_loss(std::size_t tile) const {
   return local_loss;
 }
 
-void Engine::seed_gradients(std::size_t tile) {
-  const std::size_t n_slots = compiled_->n_slots();
-  const float* act = activations_.data() + tile * n_slots * kTileRows;
-  float* grad = gradients_.data() + tile * n_slots * kTileRows;
+void Engine::capture_tile(std::size_t tile, const float* act) {
+  const auto& outputs = compiled_->outputs();
+  float* y_out = output_act_.data() + tile * outputs.size() * kTileRows;
+  float* o = row_loss_.data() + tile * kTileRows;
+  std::fill(o, o + kTileRows, 0.0f);
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const float* y = act + static_cast<std::size_t>(outputs[k].slot) * kTileRows;
+    std::copy(y, y + kTileRows, y_out + k * kTileRows);
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      const float diff = y[r] - outputs[k].target;
+      o[r] += diff * diff;
+    }
+  }
+  for (const SlotBias& bias : slot_biases_) {
+    const float* y = act + static_cast<std::size_t>(bias.slot) * kTileRows;
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      const float diff = y[r] - bias.target;
+      o[r] += bias.weight * diff * diff;
+    }
+  }
+}
+
+void Engine::seed_gradients(const float* act, float* grad) const {
   const f32x8 two = broadcast(2.0f);
   // Zero the tile's gradients, then seed dL/dy = 2 (y - t).
-  std::fill(grad, grad + n_slots * kTileRows, 0.0f);
+  std::fill(grad, grad + compiled_->n_slots() * kTileRows, 0.0f);
   for (const CompiledCircuit::Output& out : compiled_->outputs()) {
     const float* y = act + static_cast<std::size_t>(out.slot) * kTileRows;
     float* g_row = grad + static_cast<std::size_t>(out.slot) * kTileRows;
@@ -391,11 +416,9 @@ void Engine::seed_gradients(std::size_t tile) {
   }
 }
 
-void Engine::update_tile(std::size_t tile) {
-  const std::size_t n_slots = compiled_->n_slots();
+void Engine::update_tile(std::size_t tile, const float* act,
+                         const float* grad) {
   const std::size_t n_inputs = compiled_->n_circuit_inputs();
-  const float* act = activations_.data() + tile * n_slots * kTileRows;
-  const float* grad = gradients_.data() + tile * n_slots * kTileRows;
   float* v = v_.data() + tile * n_inputs * kTileRows;
   const auto& input_slots = compiled_->input_slot();
   const f32x8 one = broadcast(1.0f);
@@ -431,226 +454,38 @@ void Engine::update_tile(std::size_t tile) {
   }
 }
 
-// One full pass over a tile: the per-tile driver for kSerial and
-// kDataParallel.  Walks the ExecPlan linearly (forward) and in reverse
-// (backward) — the same op order the level driver executes stage by stage —
-// through the run-batched kernels, so every policy computes bit-identical
-// results.
-void Engine::process_tile(std::size_t tile, bool with_grad, double* loss_accum) {
-  const auto n_ops = static_cast<std::uint32_t>(compiled_->plan().n_ops());
-
-  embed_tile(tile);
-  forward_range(tile, 0, n_ops);
-
-  // Loss (optional, over valid rows only).
-  if (loss_accum != nullptr) *loss_accum = tile_loss(tile);
+void Engine::process_tile(std::size_t tile, float* act, float* grad,
+                          bool with_grad, bool want_loss) {
+  const ExecPlan& plan = compiled_->plan();
+  embed_tile(tile, act);
+  forward_tile(plan, act);
+  capture_tile(tile, act);
+  if (want_loss) tile_loss_[tile] = tile_loss(tile, act);
   if (!with_grad) return;
 
-  seed_gradients(tile);
-  backward_range(tile, 0, n_ops);
-  update_tile(tile);
-}
-
-void Engine::forward_range(std::size_t tile, std::uint32_t begin,
-                           std::uint32_t end) {
-  const ExecPlan& plan = compiled_->plan();
-  float* act = activations_.data() + tile * compiled_->n_slots() * kTileRows;
-  // Locate the run containing `begin`, then dispatch once per (clamped) run.
-  const auto& rb = plan.run_begin;
-  auto k = static_cast<std::size_t>(
-      std::upper_bound(rb.begin(), rb.end(), begin) - rb.begin() - 1);
-  for (std::uint32_t i = begin; i < end; ++k) {
-    const std::uint32_t run_end = std::min(rb[k + 1], end);
-    forward_run(plan.op[i], plan, i, run_end, act);
-    i = run_end;
-  }
-}
-
-void Engine::backward_range(std::size_t tile, std::uint32_t begin,
-                            std::uint32_t end) {
-  if (begin == end) return;
-  const ExecPlan& plan = compiled_->plan();
-  const std::size_t n_slots = compiled_->n_slots();
-  const float* act = activations_.data() + tile * n_slots * kTileRows;
-  float* grad = gradients_.data() + tile * n_slots * kTileRows;
-  // Reverse walk, run by run: a range fused over several levels unwinds them
-  // in level order, each run unwinds its ops in reverse plan order, and a
-  // single-level range accumulates shared-operand gradients in a fixed
-  // (hence deterministic) order — the exact op-by-op reverse sequence.
-  const auto& rb = plan.run_begin;
-  auto k = static_cast<std::size_t>(
-      std::upper_bound(rb.begin(), rb.end(), end - 1) - rb.begin() - 1);
-  for (std::uint32_t i = end; i > begin; --k) {
-    const std::uint32_t run_begin = std::max(rb[k], begin);
-    backward_run(plan.op[run_begin], plan, run_begin, i, act, grad);
-    i = run_begin;
-  }
-}
-
-// Stage formation: a level at least kSplitWidth ops wide becomes its own
-// stage with ~kChunkOps-sized intra-tile chunks (backward chunks respect the
-// plan's operand-disjoint groups); runs of narrower levels fuse into one
-// per-tile stage, so a deep chain of tiny levels costs one dispatch instead
-// of one barrier per level.  Chunk boundaries depend only on the plan, never
-// on the thread count, so results are machine-independent.
-void Engine::build_schedule() {
-  constexpr std::uint32_t kChunkOps = 128;
-  constexpr std::uint32_t kSplitWidth = 2 * kChunkOps;
-  const ExecPlan& plan = compiled_->plan();
-  schedule_.clear();
-
-  auto flush_run = [this](std::uint32_t begin, std::uint32_t end) {
-    if (begin == end) return;
-    Stage stage;
-    stage.fwd.emplace_back(begin, end);
-    stage.bwd.emplace_back(begin, end);
-    stage.n_ops = end - begin;
-    schedule_.push_back(std::move(stage));
-  };
-
-  std::uint32_t pending = 0;
-  for (std::size_t l = 0; l < plan.n_levels(); ++l) {
-    const std::uint32_t lb = plan.level_begin[l];
-    const std::uint32_t le = plan.level_begin[l + 1];
-    const std::uint32_t width = le - lb;
-    if (width < kSplitWidth) continue;  // joins the pending fused run
-    flush_run(pending, lb);
-    pending = le;
-
-    Stage stage;
-    stage.n_ops = width;
-    const std::uint32_t n_chunks = (width + kChunkOps - 1) / kChunkOps;
-    for (std::uint32_t c = 0; c < n_chunks; ++c) {
-      const auto b = static_cast<std::uint32_t>(
-          lb + static_cast<std::uint64_t>(width) * c / n_chunks);
-      const auto e = static_cast<std::uint32_t>(
-          lb + static_cast<std::uint64_t>(width) * (c + 1) / n_chunks);
-      if (b < e) stage.fwd.emplace_back(b, e);
-    }
-    // Backward chunks: greedily merge whole groups up to ~kChunkOps ops.
-    std::uint32_t chunk_begin = lb;
-    for (std::uint32_t g = plan.level_group[l]; g < plan.level_group[l + 1];
-         ++g) {
-      const std::uint32_t group_end = plan.group_begin[g + 1];
-      if (group_end - chunk_begin >= kChunkOps) {
-        stage.bwd.emplace_back(chunk_begin, group_end);
-        chunk_begin = group_end;
-      }
-    }
-    if (chunk_begin < le) stage.bwd.emplace_back(chunk_begin, le);
-    schedule_.push_back(std::move(stage));
-  }
-  if (!plan.level_begin.empty()) flush_run(pending, plan.level_begin.back());
-}
-
-void Engine::dispatch_stage(const Stage& stage, bool backward) {
-  const auto& chunks = backward ? stage.bwd : stage.fwd;
-  if (chunks.empty()) return;
-  const std::size_t n_chunks = chunks.size();
-  const std::size_t items = n_tiles_ * n_chunks;
-  auto run_item = [&](std::size_t item) {
-    const std::size_t tile = item / n_chunks;
-    const auto& range = chunks[item % n_chunks];
-    if (backward) {
-      backward_range(tile, range.first, range.second);
-    } else {
-      forward_range(tile, range.first, range.second);
-    }
-  };
-  // A single-thread pool cannot overlap work and only adds wakeup latency
-  // per stage; tiny stages never amortize the dispatch either.
-  const bool inline_run = items == 1 ||
-                          util::ThreadPool::global().size() <= 1 ||
-                          static_cast<std::size_t>(stage.n_ops) * n_tiles_ < 1024;
-  if (inline_run) {
-    for (std::size_t i = 0; i < items; ++i) run_item(i);
-    return;
-  }
-  util::ThreadPool::global().parallel_for(
-      items, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) run_item(i);
-      });
-}
-
-// Level-synchronous sweep: embed all tiles, run the forward stages in plan
-// order, then (for GD iterations) seed gradients, run the stages reversed,
-// and apply the update — each phase one data-parallel dispatch.  Per-op
-// float sequences match the per-tile driver exactly, so forward activations
-// and the loss are bit-identical across policies.
-void Engine::sweep_level(bool with_grad) {
-  const bool want_loss = config_.compute_loss || !with_grad;
-  // A 1-thread pool gains nothing from level-major sweeps but still pays
-  // their cache cost (every stage streams all tiles).  Walk the plan
-  // tile-major instead: stages and chunks partition the plan in order, so a
-  // linear forward walk and a linear reverse backward walk execute the same
-  // per-op float sequences with identical per-slot accumulation order —
-  // bit-identical to the stage-major dispatch (which tests pin down via
-  // Config::force_level_stages).
-  if (util::ThreadPool::global().size() <= 1 && !config_.force_level_stages) {
-    // Identical to the per-tile driver: stages and chunks partition the plan
-    // in order, so the tile-major walk and the stage-major dispatch execute
-    // the same per-op float sequences with identical accumulation order.
-    for (std::size_t t = 0; t < n_tiles_; ++t) {
-      process_tile(t, with_grad, want_loss ? &tile_loss_[t] : nullptr);
-    }
-    if (want_loss) {
-      double total_loss = 0.0;
-      for (const double loss : tile_loss_) total_loss += loss;
-      last_loss_ = total_loss;
-    }
-    return;
-  }
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           embed_tile(t);
-                         }
-                       });
-  for (const Stage& stage : schedule_) dispatch_stage(stage, /*backward=*/false);
-  if (want_loss) {
-    tensor::parallel_for(config_.policy, n_tiles_,
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t t = begin; t < end; ++t) {
-                             tile_loss_[t] = tile_loss(t);
-                           }
-                         });
-    // Reduced in tile order, so the sum is policy-independent.
-    double total_loss = 0.0;
-    for (const double loss : tile_loss_) total_loss += loss;
-    last_loss_ = total_loss;
-  }
-  if (!with_grad) return;
-
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           seed_gradients(t);
-                         }
-                       });
-  for (auto it = schedule_.rbegin(); it != schedule_.rend(); ++it) {
-    dispatch_stage(*it, /*backward=*/true);
-  }
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           update_tile(t);
-                         }
-                       });
+  seed_gradients(act, grad);
+  backward_tile(plan, act, grad);
+  update_tile(tile, act, grad);
 }
 
 void Engine::sweep(bool with_grad) {
-  if (config_.policy == tensor::Policy::kLevelParallel) {
-    sweep_level(with_grad);
-    return;
-  }
   const bool want_loss = config_.compute_loss || !with_grad;
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           process_tile(t, with_grad,
-                                        want_loss ? &tile_loss_[t] : nullptr);
-                         }
-                       });
+  const std::size_t part_floats = 2 * compiled_->n_slots() * kTileRows;
+  auto run_parts = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      float* act = scratch_.data() + p * part_floats;
+      float* grad = act + part_floats / 2;
+      const std::size_t tile_end = n_tiles_ * (p + 1) / n_parts_;
+      for (std::size_t t = n_tiles_ * p / n_parts_; t < tile_end; ++t) {
+        process_tile(t, act, grad, with_grad, want_loss);
+      }
+    }
+  };
+  if (n_parts_ == 1) {
+    run_parts(0, 1);
+  } else {
+    util::ThreadPool::global().parallel_for(n_parts_, run_parts);
+  }
   if (want_loss) {
     // Reduced in tile order, so the sum is policy-independent.
     double total_loss = 0.0;
@@ -688,43 +523,33 @@ void Engine::harden(std::vector<std::uint64_t>& packed_out) const {
 }
 
 void Engine::row_losses(std::vector<float>& out) const {
-  out.assign(config_.batch, 0.0f);
-  const std::size_t n_slots = compiled_->n_slots();
+  out.assign(row_loss_.data(), row_loss_.data() + config_.batch);
+  if (free_biases_.empty()) return;
+  const std::size_t n_inputs = compiled_->n_circuit_inputs();
+  float p[kTileRows];
   for (std::size_t t = 0; t < n_tiles_; ++t) {
-    const float* act = activations_.data() + t * n_slots * kTileRows;
+    const float* v = v_.data() + t * n_inputs * kTileRows;
     const std::size_t rows = std::min(kTileRows, config_.batch - t * kTileRows);
     float* o = out.data() + t * kTileRows;
-    for (const CompiledCircuit::Output& output : compiled_->outputs()) {
-      const float* y = act + static_cast<std::size_t>(output.slot) * kTileRows;
+    for (const FreeBias& bias : free_biases_) {
+      sigmoid_row(v + bias.input * kTileRows, p);
       for (std::size_t r = 0; r < rows; ++r) {
-        const float diff = y[r] - output.target;
-        o[r] += diff * diff;
-      }
-    }
-    for (const SlotBias& bias : slot_biases_) {
-      const float* y = act + static_cast<std::size_t>(bias.slot) * kTileRows;
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float diff = y[r] - bias.target;
+        const float diff = p[r] - bias.target;
         o[r] += bias.weight * diff * diff;
-      }
-    }
-    if (!free_biases_.empty()) {
-      const float* v =
-          v_.data() + t * compiled_->n_circuit_inputs() * kTileRows;
-      float p[kTileRows];
-      for (const FreeBias& bias : free_biases_) {
-        sigmoid_row(v + bias.input * kTileRows, p);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const float diff = p[r] - bias.target;
-          o[r] += bias.weight * diff * diff;
-        }
       }
     }
   }
 }
 
 float Engine::activation(std::uint32_t slot, std::size_t row) const {
-  return activations_[act_index(slot, row)];
+  const auto& outputs = compiled_->outputs();
+  const auto it = std::find_if(
+      outputs.begin(), outputs.end(),
+      [slot](const CompiledCircuit::Output& out) { return out.slot == slot; });
+  HTS_CHECK(it != outputs.end());
+  const auto k = static_cast<std::size_t>(it - outputs.begin());
+  return output_act_[((row / kTileRows) * outputs.size() + k) * kTileRows +
+                     row % kTileRows];
 }
 
 float Engine::v_value(std::size_t input, std::size_t row) const {
@@ -736,15 +561,16 @@ void Engine::set_v(std::size_t input, std::size_t row, float value) {
 }
 
 std::size_t Engine::memory_bytes() const {
-  return (v_.size() + activations_.size() + gradients_.size() + v_grad_.size()) *
-         sizeof(float);
+  return (v_.size() + scratch_.size() + output_act_.size() + row_loss_.size()) *
+             sizeof(float) +
+         tile_loss_.size() * sizeof(double);
 }
 
 std::size_t Engine::predicted_bytes(const CompiledCircuit& compiled,
                                     std::size_t batch) {
   const std::size_t padded =
       (batch + kTileRows - 1) / kTileRows * kTileRows;
-  // v_ + v_grad_ (inputs) and activations_ + gradients_ (slots).
+  // V + V.grad (inputs) and batch-sized activations + gradients (slots).
   return (2 * compiled.n_circuit_inputs() + 2 * compiled.n_slots()) * padded *
          sizeof(float);
 }

@@ -23,16 +23,17 @@
 // results — activations, loss, and V after descent — are bit-identical
 // across policies and thread counts.
 //
+// Memory is tile-resident: V is the only buffer that scales with batch x
+// circuit size.  A 64-row tile's activations and gradients are dead once
+// its update is done, so they live in per-part scratch (2 * n_slots * 64
+// floats per part) that each part reuses tile after tile.  Per row the
+// engine keeps only what outlives the sweep: the output activations and
+// the per-row loss.
+//
 // Scheduling (Config::policy):
-//   kSerial        one thread walks the plan tile by tile,
-//   kDataParallel  tiles are dispatched across the thread pool; within a
-//                  tile the plan is walked linearly (batch/64-way parallel),
-//   kLevelParallel the ExecPlan drives a level-synchronous sweep: wide
-//                  levels are chunked into (tile x op-range) work items
-//                  (backward chunks aligned to the plan's operand-disjoint
-//                  groups), narrow level runs are fused and dispatched per
-//                  tile.  Chunk boundaries are fixed at plan time, not by
-//                  thread count.
+//   kSerial        one part: the calling thread walks every tile,
+//   kDataParallel  min(tiles, pool size) parts, each walking one contiguous
+//                  tile range on the thread pool (batch/64-way parallel).
 
 #include <cstdint>
 #include <vector>
@@ -57,14 +58,6 @@ class Engine {
     /// Embed with the vectorized polynomial sigmoid (default) or the exact
     /// std::exp one (bit-identical to the pre-SIMD engine; used for A/B).
     bool fast_sigmoid = true;
-    /// kLevelParallel only: force the stage-major dispatcher even on a
-    /// single-thread pool.  By default a 1-thread pool executes the plan
-    /// tile-major (one cache-resident pass per tile, like the per-tile
-    /// policies) because level-major sweeps stream the whole batch once per
-    /// stage with no parallelism to pay for it.  Both orders produce
-    /// bit-identical results — backward chunks are operand-disjoint — so
-    /// this knob exists for tests and scheduler-overhead measurements.
-    bool force_level_stages = false;
     /// An extra per-row loss term weight * (p_input - target)^2 steering a
     /// circuit input toward 0 or 1 (literal-weight requests).  Inputs inside
     /// the compiled cone seed extra output-style gradient and chain through
@@ -131,10 +124,11 @@ class Engine {
   /// run_iteration() when compute_loss is set.
   [[nodiscard]] double last_loss() const { return last_loss_; }
 
-  /// Per-row L2 loss over the constrained outputs from the activations of
-  /// the most recent sweep: out[r] = sum_k (y_k[r] - t_k)^2 for r < batch.
-  /// Powers plateau restarts: rows whose loss stopped improving are stuck
-  /// in a basin and worth re-seeding.
+  /// Per-row L2 loss over the constrained outputs, captured during the most
+  /// recent sweep: out[r] = sum_k (y_k[r] - t_k)^2 for r < batch.  Powers
+  /// plateau restarts: rows whose loss stopped improving are stuck in a
+  /// basin and worth re-seeding.  Bias terms on cone-free inputs are read
+  /// from the current V.
   void row_losses(std::vector<float>& out) const;
 
   /// Hardens V into bits (V > 0) packed 64 rows per word: out[i * n_words()
@@ -147,36 +141,28 @@ class Engine {
 
   [[nodiscard]] std::size_t n_words() const { return n_tiles_; }
 
-  /// Activation of a compiled slot for a row (post forward pass).
+  /// Activation of an output slot (any CompiledCircuit::outputs() slot) for
+  /// a row, captured during the most recent sweep.  Other slots live only
+  /// in tile scratch and are not addressable.
   [[nodiscard]] float activation(std::uint32_t slot, std::size_t row) const;
 
   /// Soft-input access for tests.
   [[nodiscard]] float v_value(std::size_t input, std::size_t row) const;
   void set_v(std::size_t input, std::size_t row, float value);
 
-  /// Bytes held by this engine's buffers (the Fig. 3 memory metric).
+  /// Bytes this engine actually holds: V, the per-row captures (output
+  /// activations, row and tile losses) and the per-part tile scratch.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// What memory_bytes() would report for a hypothetical batch size, without
-  /// allocating.  Lets the Fig. 3 sweep extend past physically allocatable
-  /// points (the paper's V100 runs topped out at 32 GB too).
+  /// The Fig. 3 memory model: what a PyTorch-style engine holding V, V.grad
+  /// and batch-sized activations and gradients would allocate, i.e.
+  /// (2 * inputs + 2 * slots) * padded batch floats.  Analytic, so the
+  /// sweep can extend past allocatable points (the paper's V100 runs topped
+  /// out at 32 GB too); memory_bytes() reports the real, smaller footprint.
   [[nodiscard]] static std::size_t predicted_bytes(const CompiledCircuit& compiled,
                                                    std::size_t batch);
 
  private:
-  /// One level-synchronous step of the execution plan: a single wide level
-  /// chunked for intra-tile splitting, or a fused run of narrow levels
-  /// executed per tile.  `fwd`/`bwd` hold [begin, end) plan-op ranges; each
-  /// range paired with a tile is one work item.  Backward items walk their
-  /// range in reverse so fused runs unwind in level order, and backward
-  /// ranges never split an operand-disjoint group, so gradient accumulation
-  /// is race-free and deterministic under any thread count.
-  struct Stage {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> fwd;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> bwd;
-    std::uint32_t n_ops = 0;
-  };
-
   /// Config::input_biases resolved against the compiled circuit: biases on
   /// in-cone inputs become slot terms (gradient seeded like an output),
   /// biases on cone-free inputs descend V directly in update_tile.
@@ -191,22 +177,21 @@ class Engine {
     float weight = 1.0f;
   };
 
-  void process_tile(std::size_t tile, bool with_grad, double* loss_accum);
+  /// One full pass over a tile in one part's scratch: embed, forward,
+  /// capture (and loss), then seed, backward and update when with_grad.
+  void process_tile(std::size_t tile, float* act, float* grad, bool with_grad,
+                    bool want_loss);
   void sweep(bool with_grad);
-  void sweep_level(bool with_grad);
-  void build_schedule();
-  void dispatch_stage(const Stage& stage, bool backward);
-  void embed_tile(std::size_t tile);
+  void embed_tile(std::size_t tile, float* act) const;
   /// Embeds one input row of a tile through the configured sigmoid (fast or
   /// exact, matching embed_tile exactly); used by the free-bias terms whose
   /// inputs have no activation slot.
   void sigmoid_row(const float* v_row, float* out) const;
-  void forward_range(std::size_t tile, std::uint32_t begin, std::uint32_t end);
-  void backward_range(std::size_t tile, std::uint32_t begin, std::uint32_t end);
-  [[nodiscard]] double tile_loss(std::size_t tile) const;
-  void seed_gradients(std::size_t tile);
-  void update_tile(std::size_t tile);
-  [[nodiscard]] std::size_t act_index(std::uint32_t slot, std::size_t row) const;
+  [[nodiscard]] double tile_loss(std::size_t tile, const float* act) const;
+  /// Copies a tile's output activations and per-row losses out of scratch.
+  void capture_tile(std::size_t tile, const float* act);
+  void seed_gradients(const float* act, float* grad) const;
+  void update_tile(std::size_t tile, const float* act, const float* grad);
   [[nodiscard]] std::size_t v_index(std::size_t input, std::size_t row) const;
 
   const CompiledCircuit* compiled_;
@@ -215,18 +200,20 @@ class Engine {
   /// Config::input_biases is.
   std::vector<SlotBias> slot_biases_;
   std::vector<FreeBias> free_biases_;
-  /// Level-parallel stage schedule; built once at construction when
-  /// Config::policy is kLevelParallel, empty otherwise.
-  std::vector<Stage> schedule_;
   std::size_t n_tiles_ = 0;
-  // All buffers are tiled [tile][slot-or-input][row-in-tile]; see engine.cpp.
+  /// Scratch parts, fixed at construction: 1 for kSerial, min(tiles, pool
+  /// size) for kDataParallel.  Part p walks tiles [p * n_tiles / n_parts,
+  /// (p + 1) * n_tiles / n_parts).
+  std::size_t n_parts_ = 1;
+  // V is tiled [tile][input][row-in-tile]; see engine.cpp.
   tensor::Buffer v_;
-  tensor::Buffer activations_;
-  tensor::Buffer gradients_;
-  // Mirrors PyTorch's persistent V.grad allocation so memory_bytes() matches
-  // the substrate the paper measured; the fused update never reads it.
-  tensor::Buffer v_grad_;
-  // Per-tile loss scratch, reduced in tile order after each dispatch — the
+  // Per part: activations then gradients, [slot][row-in-tile] each.
+  tensor::Buffer scratch_;
+  // Per-row captures of the latest sweep: output activations tiled
+  // [tile][output][row-in-tile], and the per-row loss (row_losses()).
+  tensor::Buffer output_act_;
+  tensor::Buffer row_loss_;
+  // Per-tile loss scratch, reduced in tile order after each sweep — the
   // hot path never takes a lock, and the reduction order (hence the float
   // sum) is identical under every policy.
   std::vector<double> tile_loss_;

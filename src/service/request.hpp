@@ -159,7 +159,7 @@ enum class JobStatus : std::uint8_t {
 /// ServerConfig::max_retries before finalizing kFailed.
 enum class ErrorCategory : std::uint8_t {
   kNone,       // no error (the default on every non-failed job)
-  kAdmission,  // rejected at submit(): infeasible deadline or quota
+  kAdmission,  // rejected at submit(): malformed config, deadline or quota
   kCompile,    // the formula's transform/compile threw
   kResource,   // allocation failure (std::bad_alloc); retryable
   kTransient,  // momentary failure, expected to pass; retryable

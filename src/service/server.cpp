@@ -345,7 +345,11 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
     return false;
   };
 
-  // Quotas first — they hold regardless of the feasibility switch.
+  // A request the engine cannot run is malformed, not infeasible: reject it
+  // here rather than let the engine's batch invariant abort the process.
+  if (request.config.batch == 0) return reject("config.batch must be > 0");
+
+  // Quotas next — they hold regardless of the feasibility switch.
   if (admission.max_client_jobs != 0 || admission.max_client_bank_bytes != 0) {
     const auto it = client_usage_.find(request.client_id);
     const ClientUsage usage =

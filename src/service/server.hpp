@@ -231,9 +231,10 @@ class Server {
   };
 
   void worker_loop(std::size_t worker_index) HTS_EXCLUDES(mutex_);
-  /// Admission decision for a fresh submission: quotas first, then the
-  /// deadline-feasibility model (possibly degrading the job's batch in
-  /// place).  False = reject, with the reason written to *error.
+  /// Admission decision for a fresh submission: malformed configs (batch
+  /// 0) first, then quotas, then the deadline-feasibility model (possibly
+  /// degrading the job's batch in place).  False = reject, with the reason
+  /// written to *error.
   [[nodiscard]] bool admit_locked(detail::Job& job, ErrorInfo* error)
       HTS_REQUIRES(mutex_);
   /// A queued job may run now: aborted/expired jobs always (they retire

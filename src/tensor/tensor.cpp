@@ -1,18 +1,14 @@
 #include "tensor/tensor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace hts::tensor {
 
 namespace {
 
 // Thread-safety audit: tensor state shared across threads is exactly these
 // two accounting atomics (relaxed — the peak is advisory, see the CAS loop
-// in record_alloc); kernel dispatch borrows util::ThreadPool, whose lock
-// discipline is capability-annotated in util/thread_pool.hpp.  Tensor
-// buffers themselves are single-owner and partitioned across workers by
-// parallel_for, so they carry no locks.
+// in record_alloc).  Tensor buffers themselves are single-owner, and the
+// prob engine hands each pool worker a disjoint slice of them, so they
+// carry no locks.
 std::atomic<std::int64_t> g_live_bytes{0};
 std::atomic<std::int64_t> g_peak_bytes{0};
 
@@ -24,20 +20,8 @@ const char* policy_name(Policy policy) {
       return "serial";
     case Policy::kDataParallel:
       return "tile-parallel";
-    case Policy::kLevelParallel:
-      return "level-parallel";
   }
   return "unknown";
-}
-
-void parallel_for(Policy policy, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (policy == Policy::kSerial) {
-    fn(0, n);
-    return;
-  }
-  util::ThreadPool::global().parallel_for(n, fn);
 }
 
 std::int64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
@@ -65,28 +49,5 @@ void record_free(std::int64_t bytes) {
 }
 
 }  // namespace detail
-
-void sigmoid(Policy policy, const float* in, float* out, std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = 1.0f / (1.0f + std::exp(-in[i]));
-    }
-  });
-}
-
-void sigmoid_backward(Policy policy, const float* grad, const float* p, float* out,
-                      std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = grad[i] * p[i] * (1.0f - p[i]);
-    }
-  });
-}
-
-void sgd_step(Policy policy, float* v, const float* g, float lr, std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) v[i] -= lr * g[i];
-  });
-}
 
 }  // namespace hts::tensor

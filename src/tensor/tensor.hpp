@@ -1,9 +1,9 @@
 #pragma once
 
-// Batched float storage and data-parallel execution policies.
+// Tracked float storage and the engine's execution policies.
 //
-// This module stands in for the paper's PyTorch/V100 substrate.  Kernels are
-// written once and dispatched either serially (models the CPU run of the
+// This module stands in for the paper's PyTorch/V100 substrate.  The prob
+// engine runs its kernels either serially (models the CPU run of the
 // Fig. 4 ablation) or across a thread pool (models the GPU's batch-parallel
 // execution).  Allocation is tracked byte-accurately so the Fig. 3 (right)
 // memory-vs-batch-size curve can be measured without nvidia-smi.
@@ -11,33 +11,20 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hts::tensor {
 
-/// Execution policy for batched kernels.
+/// Execution policy for the prob engine's GD sweeps.
 enum class Policy : std::uint8_t {
   kSerial,        // single thread ("CPU")
-  kDataParallel,  // thread-pool over batch rows ("GPU simulator")
-  /// Thread-pool over the levelized execution plan: the prob engine splits
-  /// each tape level's independent ops into (tile x op-range) work items, so
-  /// parallelism scales with level width *within* a 64-row tile, not only
-  /// with batch/64 tiles.  Elementwise kernels treat it like kDataParallel.
-  kLevelParallel,
+  kDataParallel,  // thread-pool over batch tiles ("GPU simulator")
 };
 
 /// Short stable name for bench tables and JSON records.
 [[nodiscard]] const char* policy_name(Policy policy);
-
-/// Dispatches fn(begin, end) over [0, n) according to the policy
-/// (kLevelParallel dispatches like kDataParallel: level structure only
-/// matters to the prob engine's tape sweeps).
-void parallel_for(Policy policy, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
 
 // --- allocation accounting --------------------------------------------------
 
@@ -53,7 +40,7 @@ void record_free(std::int64_t bytes);
 }  // namespace detail
 
 /// A tracked, contiguous float buffer.  Deliberately minimal: the prob
-/// engine addresses it as a slot-major matrix (slot*batch + row) so the
+/// engine addresses it in 64-row tiles ([tile][slot][row-in-tile]) so the
 /// inner loops stream contiguous memory per operation.
 class Buffer {
  public:
@@ -96,18 +83,5 @@ class Buffer {
  private:
   std::vector<float> data_;
 };
-
-// --- elementwise kernels ------------------------------------------------------
-
-/// out[i] = 1 / (1 + exp(-in[i])) over [0, n).
-void sigmoid(Policy policy, const float* in, float* out, std::size_t n);
-
-/// Gradient chain through the sigmoid: out[i] = grad[i] * p[i] * (1 - p[i]),
-/// where p is the already-computed sigmoid output.
-void sigmoid_backward(Policy policy, const float* grad, const float* p, float* out,
-                      std::size_t n);
-
-/// v[i] -= lr * g[i] (plain gradient-descent step, the paper's optimizer).
-void sgd_step(Policy policy, float* v, const float* g, float lr, std::size_t n);
 
 }  // namespace hts::tensor

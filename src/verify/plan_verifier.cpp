@@ -46,7 +46,7 @@ class Reporter {
 };
 
 /// A boundary array partitions [0, n) iff it starts at 0, ends at n, and
-/// strictly increases (constructed plans have no empty level/group/run).
+/// strictly increases (constructed plans have no empty level/run).
 bool check_partition(std::span<const std::uint32_t> begin, std::size_t n,
                      const char* name, Reporter& reporter) {
   if (begin.empty() || begin.front() != 0 || begin.back() != n) {
@@ -135,39 +135,8 @@ bool check_exec_shape(const ExecPlanView& v, Reporter& reporter) {
     ok = false;
   }
   ok = check_partition(v.level_begin, n, "level_begin", reporter) && ok;
-  ok = check_partition(v.group_begin, n, "group_begin", reporter) && ok;
   ok = check_partition(v.run_begin, n, "run_begin", reporter) && ok;
   if (!ok) return false;
-
-  // The group partition must refine the level partition: level l owns the
-  // contiguous groups [level_group[l], level_group[l + 1]), and those
-  // groups tile exactly [level_begin[l], level_begin[l + 1]).
-  const std::size_t n_levels = v.level_begin.size() - 1;
-  const std::size_t n_groups = v.group_begin.size() - 1;
-  if (v.level_group.size() != n_levels + 1 || v.level_group.front() != 0 ||
-      v.level_group.back() != n_groups) {
-    reporter.add(Rule::kShape, kWholePlan,
-                 "level_group does not map " + std::to_string(n_levels) +
-                     " levels onto " + std::to_string(n_groups) + " groups");
-    return false;
-  }
-  for (std::size_t l = 0; l + 1 < v.level_group.size(); ++l) {
-    if (v.level_group[l] >= v.level_group[l + 1]) {
-      reporter.add(Rule::kShape, kWholePlan,
-                   "level " + std::to_string(l) + " owns no groups");
-      return false;
-    }
-  }
-  for (std::size_t l = 0; l < n_levels; ++l) {
-    if (v.group_begin[v.level_group[l]] != v.level_begin[l]) {
-      reporter.add(Rule::kShape, kWholePlan,
-                   "group partition does not align with level " +
-                       std::to_string(l) + " (group starts at " +
-                       std::to_string(v.group_begin[v.level_group[l]]) +
-                       ", level at " + std::to_string(v.level_begin[l]) + ")");
-      return false;
-    }
-  }
 
   // Unary plan entries mirror a into b so every kernel may load both
   // operand lanes unconditionally.
@@ -296,34 +265,6 @@ void verify_exec_impl(const ExecPlanView& v, const Options& options,
                        " (plan order)");
     }
     avail[v.dst[k]] = static_cast<std::uint32_t>(level) + 1;
-  }
-
-  // ---- backward groups: operand-disjoint within each level ----
-  // The chunked backward sweep accumulates gradients into operand slots
-  // concurrently across groups; a shared operand would be a data race.
-  {
-    std::unordered_map<std::uint32_t, std::uint32_t> operand_group;
-    const std::size_t n_levels = v.level_begin.size() - 1;
-    for (std::size_t l = 0; l < n_levels && !reporter.full(); ++l) {
-      operand_group.clear();
-      for (std::uint32_t g = v.level_group[l]; g < v.level_group[l + 1]; ++g) {
-        for (std::uint32_t k = v.group_begin[g]; k < v.group_begin[g + 1];
-             ++k) {
-          const std::uint32_t operands[2] = {v.a[k], v.b[k]};
-          const std::size_t n_operands = op_is_binary(v.op[k]) ? 2 : 1;
-          for (std::size_t j = 0; j < n_operands; ++j) {
-            const auto [it, fresh] = operand_group.try_emplace(operands[j], g);
-            if (!fresh && it->second != g) {
-              reporter.add(Rule::kGroupDisjoint, k,
-                           "groups " + std::to_string(it->second) + " and " +
-                               std::to_string(g) + " of level " +
-                               std::to_string(l) + " share operand " +
-                               slot_str(operands[j]));
-            }
-          }
-        }
-      }
-    }
   }
 
   // ---- opcode runs: uniform, level-bounded, maximal ----
@@ -596,8 +537,6 @@ const char* rule_name(Rule rule) {
       return "def-before-use";
     case Rule::kLevelOrder:
       return "level-order";
-    case Rule::kGroupDisjoint:
-      return "group-disjoint";
     case Rule::kRunPartition:
       return "run-partition";
     case Rule::kPermutation:
@@ -638,8 +577,6 @@ ExecPlanView ExecPlanView::of(const prob::CompiledCircuit& compiled) {
   view.a = plan.a;
   view.b = plan.b;
   view.level_begin = plan.level_begin;
-  view.group_begin = plan.group_begin;
-  view.level_group = plan.level_group;
   view.run_begin = plan.run_begin;
   view.input_slot = compiled.input_slot();
   view.const_slots = compiled.const_slots();

@@ -4,11 +4,11 @@
 //
 // Both compiled evaluators hand hot loops a structure-of-arrays plan whose
 // soundness the kernels assume rather than check: the engine's float tape
-// (prob::ExecPlan) chunks its backward sweep along group boundaries on the
-// promise that groups never share an operand slot, and the word evaluator
-// (circuit::EvalPlan) streams whole same-opcode runs through one kernel on
-// the promise that a run never mixes opcodes or crosses a level.  A bug in
-// levelization, grouping, or any optimizer rewrite would not crash — it
+// (prob::ExecPlan) reuses one tile scratch across tiles on the promise that
+// every slot is defined before it is read, and both it and the word
+// evaluator (circuit::EvalPlan) stream whole same-opcode runs through one
+// kernel on the promise that a run never mixes opcodes or crosses a level.
+// A bug in levelization or any optimizer rewrite would not crash — it
 // would silently mis-evaluate, and the sampler would harvest garbage that
 // only a downstream differential test might catch.  This module makes the
 // promises checkable: every structural invariant the executors rely on is
@@ -17,10 +17,9 @@
 // disjointness) rather than by re-running the construction code.
 //
 // Rules, in the order they are checked:
-//   kShape        parallel arrays agree in length; level/group/run boundary
-//                 arrays are monotone partitions of [0, n_ops); the group
-//                 partition refines the level partition; unary plan entries
-//                 mirror operand `a` into `b` (kernels load both).
+//   kShape        parallel arrays agree in length; level/run boundary
+//                 arrays are monotone partitions of [0, n_ops); unary plan
+//                 entries mirror operand `a` into `b` (kernels load both).
 //   kSlotBounds   every slot index (tape, plan, inputs, constants, outputs)
 //                 lies inside [0, n_slots).
 //   kSsa          each slot is defined exactly once (base definitions —
@@ -33,9 +32,6 @@
 //                 ASAP level (one past the highest operand level, base
 //                 slots below level 0) — a swapped or padded levelization
 //                 cannot hide.
-//   kGroupDisjoint within a level, no two backward groups read or write a
-//                 common slot (the race-freedom contract of the chunked
-//                 backward sweep).
 //   kRunPartition runs are uniform in opcode, never cross a level boundary,
 //                 and are maximal (adjacent runs in one level differ in
 //                 opcode).
@@ -77,7 +73,6 @@ enum class Rule : std::uint8_t {
   kSsa,
   kDefBeforeUse,
   kLevelOrder,
-  kGroupDisjoint,
   kRunPartition,
   kPermutation,
   kDeadCode,
@@ -132,8 +127,6 @@ struct ExecPlanView {
   std::span<const std::uint32_t> a;
   std::span<const std::uint32_t> b;
   std::span<const std::uint32_t> level_begin;
-  std::span<const std::uint32_t> group_begin;
-  std::span<const std::uint32_t> level_group;
   std::span<const std::uint32_t> run_begin;
   // Base definitions and roots.
   std::span<const std::int32_t> input_slot;  // kNoSlot entries are skipped

@@ -285,8 +285,7 @@ TEST(Amplifier, AmplifiedStreamIsDeterministicAcrossPoliciesAndReruns) {
   for (const auto& name : {"or-50-10-7-UC-10", "75-10-1-q"}) {
     const auto instance = benchgen::make_instance(name, gen);
     constexpr tensor::Policy kPolicies[] = {tensor::Policy::kSerial,
-                                            tensor::Policy::kDataParallel,
-                                            tensor::Policy::kLevelParallel};
+                                            tensor::Policy::kDataParallel};
     bool have_reference = false;
     sampler::RunResult reference;
     std::uint64_t reference_uniques = 0;

@@ -10,10 +10,10 @@
 // The schedulers get a stronger treatment: every policy executes the
 // compiled plan through the opcode-run-batched kernels in the same order
 // (forward in plan order, backward in reverse plan order), so the *full* GD
-// trajectory — activations, loss, and V after descent — must be bitwise
-// identical across serial, tile-parallel, and level-parallel (including the
-// stage-major dispatch forced by Config::force_level_stages), on raw and
-// optimized tapes.
+// trajectory — activations, loss, per-row losses, and V after descent —
+// must be bitwise identical across serial and tile-parallel, on raw and
+// optimized tapes, at a 16-tile batch so scratch parts are reused across
+// tiles.
 
 #include <gtest/gtest.h>
 
@@ -29,20 +29,52 @@ namespace hts::prob {
 namespace {
 
 constexpr std::size_t kBatch = 256;
+/// 16 tiles, the last one partial: the serial engine's one part, and every
+/// tile-parallel part on a pool of up to 15 threads, reuses its scratch.
+constexpr std::size_t kPolicyBatch = 1000;
 constexpr std::uint64_t kSeed = 4242;
 
 class EngineParity : public ::testing::TestWithParam<const char*> {
  protected:
   static Engine make_engine(const CompiledCircuit& compiled, bool fast_sigmoid,
                             tensor::Policy policy = tensor::Policy::kSerial,
-                            bool force_level_stages = false) {
+                            std::size_t batch = kBatch) {
     Engine::Config config;
-    config.batch = kBatch;
+    config.batch = batch;
     config.policy = policy;
     config.fast_sigmoid = fast_sigmoid;
     config.compute_loss = true;
-    config.force_level_stages = force_level_stages;
     return Engine(compiled, config);
+  }
+
+  /// Serial and tile-parallel engines over one circuit at kPolicyBatch,
+  /// identically randomized.
+  struct PolicyPair {
+    Engine serial;
+    Engine tiles;
+  };
+  static PolicyPair make_pair(const CompiledCircuit& compiled) {
+    PolicyPair pair{make_engine(compiled, /*fast_sigmoid=*/false,
+                                tensor::Policy::kSerial, kPolicyBatch),
+                    make_engine(compiled, /*fast_sigmoid=*/false,
+                                tensor::Policy::kDataParallel, kPolicyBatch)};
+    for (Engine* engine : {&pair.serial, &pair.tiles}) {
+      util::Rng rng(kSeed);
+      engine->randomize(rng);
+    }
+    return pair;
+  }
+
+  static void expect_same_row_losses(const Engine& serial, const Engine& tiles,
+                                     const std::string& label) {
+    std::vector<float> serial_losses;
+    std::vector<float> tile_losses;
+    serial.row_losses(serial_losses);
+    tiles.row_losses(tile_losses);
+    ASSERT_EQ(serial_losses.size(), kPolicyBatch) << label;
+    for (std::size_t r = 0; r < kPolicyBatch; ++r) {
+      ASSERT_EQ(serial_losses[r], tile_losses[r]) << label << " row " << r;
+    }
   }
 };
 
@@ -128,88 +160,55 @@ TEST_P(EngineParity, OptimizedGradientDescentTracksRaw) {
   }
 }
 
-TEST_P(EngineParity, LevelParallelForwardIsBitIdentical) {
-  // Serial per-tile vs level-parallel (both fallback and forced stage-major
-  // dispatch), raw and optimized tapes, exact sigmoid: every output
-  // activation and the loss must agree bit for bit.
+TEST_P(EngineParity, TileParallelForwardIsBitIdentical) {
+  // Serial vs tile-parallel, raw and optimized tapes, exact sigmoid: every
+  // output activation, the per-row losses and the loss agree bit for bit.
   const benchgen::Instance instance = benchgen::make_instance(GetParam());
   for (const bool optimize : {false, true}) {
     const CompiledCircuit compiled(instance.circuit,
                                    CompiledCircuit::Options{false, optimize});
-    Engine serial = make_engine(compiled, /*fast_sigmoid=*/false);
-    Engine level = make_engine(compiled, /*fast_sigmoid=*/false,
-                               tensor::Policy::kLevelParallel);
-    Engine staged = make_engine(compiled, /*fast_sigmoid=*/false,
-                                tensor::Policy::kLevelParallel,
-                                /*force_level_stages=*/true);
-    util::Rng rng_a(kSeed);
-    util::Rng rng_b(kSeed);
-    util::Rng rng_c(kSeed);
-    serial.randomize(rng_a);
-    level.randomize(rng_b);
-    staged.randomize(rng_c);
-    serial.forward_only();
-    level.forward_only();
-    staged.forward_only();
+    const std::string label =
+        std::string(GetParam()) + (optimize ? "/opt" : "/raw");
+    PolicyPair pair = make_pair(compiled);
+    pair.serial.forward_only();
+    pair.tiles.forward_only();
     for (std::size_t k = 0; k < compiled.outputs().size(); ++k) {
       const std::uint32_t slot = compiled.outputs()[k].slot;
-      for (std::size_t r = 0; r < kBatch; ++r) {
-        ASSERT_EQ(serial.activation(slot, r), level.activation(slot, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " output " << k
-            << " row " << r;
-        ASSERT_EQ(serial.activation(slot, r), staged.activation(slot, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " output " << k
-            << " row " << r;
+      for (std::size_t r = 0; r < kPolicyBatch; ++r) {
+        ASSERT_EQ(pair.serial.activation(slot, r), pair.tiles.activation(slot, r))
+            << label << " output " << k << " row " << r;
       }
     }
-    EXPECT_EQ(serial.last_loss(), level.last_loss()) << GetParam();
-    EXPECT_EQ(serial.last_loss(), staged.last_loss()) << GetParam();
+    expect_same_row_losses(pair.serial, pair.tiles, label);
+    EXPECT_EQ(pair.serial.last_loss(), pair.tiles.last_loss()) << label;
   }
 }
 
 TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
   // Since the opcode-batched dispatch every policy walks the plan in the
-  // same order — forward in plan order, backward in reverse plan order, with
-  // level-parallel chunk boundaries fixed at plan time and aligned to
-  // operand-disjoint groups — so the *entire* GD trajectory (not just
-  // forward activations) is bitwise equal across serial, tile-parallel, and
-  // level-parallel (both the tile-major fallback and the forced stage-major
-  // dispatch), on raw and optimized tapes.
+  // same order — forward in plan order, backward in reverse plan order — so
+  // the *entire* GD trajectory (not just forward activations) is bitwise
+  // equal across serial and tile-parallel, on raw and optimized tapes.
   const benchgen::Instance instance = benchgen::make_instance(GetParam());
   for (const bool optimize : {false, true}) {
     const CompiledCircuit compiled(instance.circuit,
                                    CompiledCircuit::Options{false, optimize});
-    Engine serial = make_engine(compiled, /*fast_sigmoid=*/false);
-    Engine tiles = make_engine(compiled, /*fast_sigmoid=*/false,
-                               tensor::Policy::kDataParallel);
-    Engine level = make_engine(compiled, /*fast_sigmoid=*/false,
-                               tensor::Policy::kLevelParallel);
-    Engine staged = make_engine(compiled, /*fast_sigmoid=*/false,
-                                tensor::Policy::kLevelParallel,
-                                /*force_level_stages=*/true);
-    Engine* engines[] = {&serial, &tiles, &level, &staged};
-    for (Engine* engine : engines) {
-      util::Rng rng(kSeed);
-      engine->randomize(rng);
-    }
+    const std::string label =
+        std::string(GetParam()) + (optimize ? "/opt" : "/raw");
+    PolicyPair pair = make_pair(compiled);
     for (int iter = 0; iter < 3; ++iter) {
-      for (Engine* engine : engines) engine->run_iteration();
+      pair.serial.run_iteration();
+      pair.tiles.run_iteration();
     }
-    const std::size_t n_inputs = serial.n_inputs();
+    const std::size_t n_inputs = pair.serial.n_inputs();
     for (std::size_t i = 0; i < n_inputs; ++i) {
-      for (std::size_t r = 0; r < kBatch; ++r) {
-        const float v = serial.v_value(i, r);
-        ASSERT_EQ(v, tiles.v_value(i, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " tiles input "
-            << i << " row " << r;
-        ASSERT_EQ(v, level.v_value(i, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " level input "
-            << i << " row " << r;
-        ASSERT_EQ(v, staged.v_value(i, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " staged input "
-            << i << " row " << r;
+      for (std::size_t r = 0; r < kPolicyBatch; ++r) {
+        ASSERT_EQ(pair.serial.v_value(i, r), pair.tiles.v_value(i, r))
+            << label << " input " << i << " row " << r;
       }
     }
+    expect_same_row_losses(pair.serial, pair.tiles, label);
+    EXPECT_EQ(pair.serial.last_loss(), pair.tiles.last_loss()) << label;
   }
 }
 

@@ -2,10 +2,9 @@
 // optimized tapes of every benchgen family:
 //   - the plan is a permutation of the tape (same op multiset),
 //   - level ranges partition the plan and operands always come from strictly
-//     lower levels (the independence property kLevelParallel relies on),
-//   - group ranges partition each level and operand slots never cross group
-//     boundaries within a level (the race-freedom property backward
-//     chunking relies on),
+//     lower levels (the independence property that lets a level be sorted),
+//   - each level is sorted by opcode, keeping tape order among equal
+//     opcodes (which fixes every slot's gradient accumulation order),
 //   - each slot is written exactly once (the tape is SSA).
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "benchgen/families.hpp"
@@ -68,32 +68,16 @@ void check_plan(const CompiledCircuit& compiled, const std::string& label) {
     }
   }
 
-  // Groups partition each level and never share operand slots.
-  ASSERT_EQ(plan.level_group.size(), plan.n_levels() + 1) << label;
-  EXPECT_EQ(plan.group_begin.back(), plan.n_ops()) << label;
+  // Each level is ordered by (opcode, tape index).
+  std::map<std::uint32_t, std::size_t> tape_index;
+  for (std::size_t i = 0; i < tape.size(); ++i) tape_index[tape[i].dst] = i;
   for (std::size_t l = 0; l < plan.n_levels(); ++l) {
-    EXPECT_EQ(plan.group_begin[plan.level_group[l]], plan.level_begin[l])
-        << label;
-    std::map<std::uint32_t, std::uint32_t> slot_group;
-    for (std::uint32_t g = plan.level_group[l]; g < plan.level_group[l + 1];
-         ++g) {
-      ASSERT_LT(static_cast<std::size_t>(g) + 1, plan.group_begin.size())
-          << label;
-      EXPECT_LT(plan.group_begin[g], plan.group_begin[g + 1]) << label;
-      for (std::uint32_t i = plan.group_begin[g]; i < plan.group_begin[g + 1];
-           ++i) {
-        for (const std::uint32_t slot : {plan.a[i], plan.b[i]}) {
-          const auto [it, fresh] = slot_group.try_emplace(slot, g);
-          EXPECT_TRUE(fresh || it->second == g)
-              << label << " operand slot " << slot
-              << " appears in groups " << it->second << " and " << g
-              << " of level " << l;
-        }
-      }
+    for (std::uint32_t i = plan.level_begin[l] + 1; i < plan.level_begin[l + 1];
+         ++i) {
+      EXPECT_LT(std::make_pair(plan.op[i - 1], tape_index[plan.dst[i - 1]]),
+                std::make_pair(plan.op[i], tape_index[plan.dst[i]]))
+          << label << " level " << l << " plan index " << i;
     }
-    EXPECT_EQ(plan.group_begin[plan.level_group[l + 1]],
-              plan.level_begin[l + 1])
-        << label;
   }
 
   // Opcode runs partition the plan, are opcode-uniform, and never cross a
@@ -135,8 +119,8 @@ TEST_P(ExecPlanInvariants, OptimizedTape) {
   EXPECT_GT(opt.plan().n_levels(), 0u);
   EXPECT_EQ(opt.opt_stats().n_levels, opt.plan().n_levels());
   EXPECT_EQ(opt.opt_stats().max_level_width, opt.plan().max_width());
-  // Run stats mirror the plan, and the (group, opcode) order clusters ops:
-  // every family has fewer runs than ops (mean run length > 1).
+  // Run stats mirror the plan, and the opcode order clusters ops: every
+  // family has fewer runs than ops (mean run length > 1).
   EXPECT_EQ(opt.opt_stats().n_opcode_runs, opt.plan().n_runs());
   EXPECT_GT(opt.opt_stats().max_run_length, 1u) << GetParam();
   EXPECT_LT(opt.opt_stats().n_opcode_runs, opt.n_ops()) << GetParam();

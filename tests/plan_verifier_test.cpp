@@ -42,7 +42,7 @@ struct MutableExec {
   std::vector<TapeOp> tape;
   std::vector<OpCode> op;
   std::vector<std::uint32_t> dst, a, b;
-  std::vector<std::uint32_t> level_begin, group_begin, level_group, run_begin;
+  std::vector<std::uint32_t> level_begin, run_begin;
   std::vector<std::int32_t> input_slot;
   std::vector<CompiledCircuit::ConstSlot> const_slots;
   std::vector<CompiledCircuit::Output> outputs;
@@ -57,8 +57,6 @@ struct MutableExec {
     m.a = plan.a;
     m.b = plan.b;
     m.level_begin = plan.level_begin;
-    m.group_begin = plan.group_begin;
-    m.level_group = plan.level_group;
     m.run_begin = plan.run_begin;
     m.input_slot = compiled.input_slot();
     m.const_slots = compiled.const_slots();
@@ -75,8 +73,6 @@ struct MutableExec {
     v.a = a;
     v.b = b;
     v.level_begin = level_begin;
-    v.group_begin = group_begin;
-    v.level_group = level_group;
     v.run_begin = run_begin;
     v.input_slot = input_slot;
     v.const_slots = const_slots;
@@ -175,7 +171,7 @@ struct MutableEval {
 };
 
 /// The small family keeps mutation scans cheap; structure is still rich
-/// (multiple levels, groups, and multi-op runs).
+/// (multiple levels and multi-op runs).
 constexpr const char* kMutationFamily = "or-50-10-7-UC-10";
 
 MutableExec healthy_exec(bool optimize) {
@@ -283,14 +279,10 @@ TEST(ExecPlanMutations, MisplacedLevelBoundaryIsRejected) {
   m.a = {0, 0, 2};
   m.b = {1, 1, 3};
   m.level_begin = {0, 2, 3};
-  m.group_begin = {0, 2, 3};  // A and B share operands -> one group
-  m.level_group = {0, 1, 2};
   m.run_begin = {0, 1, 2, 3};
   ASSERT_TRUE(verify::verify_exec_plan(m.view(), exec_options(false)).ok());
 
   m.level_begin = {0, 1, 3};
-  m.group_begin = {0, 1, 2, 3};  // B and C are operand-disjoint
-  m.level_group = {0, 1, 3};
   const Report report = verify::verify_exec_plan(m.view(), exec_options(false));
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(has_rule(report, Rule::kLevelOrder)) << rules_of(report);
@@ -330,30 +322,6 @@ TEST(ExecPlanMutations, OperandOutOfBoundsIsRejected) {
   if (!op_is_binary(m.op[victim])) m.b[victim] = wild;
   const Report report = verify::verify_exec_plan(m.view(), exec_options(false));
   EXPECT_TRUE(has_rule(report, Rule::kSlotBounds)) << rules_of(report);
-}
-
-TEST(ExecPlanMutations, MergedBackwardGroupsSharingOperandAreRejected) {
-  MutableExec m = healthy_exec(true);
-  // Find a level holding two groups and rewire the second group's first op
-  // to read the first group's first operand — the shared slot makes the
-  // chunked backward sweep race.
-  std::size_t level = m.level_group.size();
-  for (std::size_t l = 0; l + 1 < m.level_group.size(); ++l) {
-    if (m.level_group[l + 1] - m.level_group[l] >= 2) {
-      level = l;
-      break;
-    }
-  }
-  ASSERT_LT(level, m.level_group.size()) << "no level with two groups";
-  const std::uint32_t g1 = m.level_group[level];
-  const std::size_t k1 = m.group_begin[g1];
-  const std::size_t k2 = m.group_begin[g1 + 1];
-  const std::size_t tape_index = m.tape_index_of_dst(m.dst[k2]);
-  m.tape[tape_index].a = m.a[k1];
-  m.a[k2] = m.a[k1];
-  if (!op_is_binary(m.op[k2])) m.b[k2] = m.a[k1];
-  const Report report = verify::verify_exec_plan(m.view(), exec_options(true));
-  EXPECT_TRUE(has_rule(report, Rule::kGroupDisjoint)) << rules_of(report);
 }
 
 TEST(ExecPlanMutations, RunCrossingALevelBoundaryIsRejected) {
@@ -402,8 +370,6 @@ TEST(ExecPlanMutations, ResurrectedDeadOpIsRejectedOnOptimizedTapes) {
   m.a.push_back(operand);
   m.b.push_back(operand);
   m.level_begin.push_back(static_cast<std::uint32_t>(n) + 1);
-  m.group_begin.push_back(static_cast<std::uint32_t>(n) + 1);
-  m.level_group.push_back(static_cast<std::uint32_t>(m.group_begin.size()) - 1);
   m.run_begin.push_back(static_cast<std::uint32_t>(n) + 1);
 
   // A raw tape may legitimately carry dead ops...

@@ -1,16 +1,18 @@
 // Tests for the tensor backend and the probabilistic engine: Table I
 // forward/derivative semantics, finite-difference gradient checks on random
 // circuits, loss descent, hardening, cone-only compilation, serial/parallel
-// equivalence, and memory accounting.
+// equivalence, and the tile-resident memory model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hts::prob {
 namespace {
@@ -20,41 +22,6 @@ using circuit::GateType;
 using circuit::SignalId;
 
 // --- tensor backend ------------------------------------------------------------
-
-TEST(Tensor, SigmoidValues) {
-  const float in[3] = {0.0f, 10.0f, -10.0f};
-  float out[3];
-  tensor::sigmoid(tensor::Policy::kSerial, in, out, 3);
-  EXPECT_NEAR(out[0], 0.5f, 1e-6f);
-  EXPECT_GT(out[1], 0.9999f);
-  EXPECT_LT(out[2], 0.0001f);
-}
-
-TEST(Tensor, SigmoidBackwardChain) {
-  const float grad[1] = {2.0f};
-  const float p[1] = {0.25f};
-  float out[1];
-  tensor::sigmoid_backward(tensor::Policy::kSerial, grad, p, out, 1);
-  EXPECT_NEAR(out[0], 2.0f * 0.25f * 0.75f, 1e-6f);
-}
-
-TEST(Tensor, SgdStep) {
-  float v[2] = {1.0f, -1.0f};
-  const float g[2] = {0.5f, -0.5f};
-  tensor::sgd_step(tensor::Policy::kSerial, v, g, 10.0f, 2);
-  EXPECT_FLOAT_EQ(v[0], -4.0f);
-  EXPECT_FLOAT_EQ(v[1], 4.0f);
-}
-
-TEST(Tensor, PoliciesAgree) {
-  util::Rng rng(5);
-  constexpr std::size_t kN = 10000;
-  std::vector<float> in(kN), serial(kN), parallel(kN);
-  for (auto& x : in) x = static_cast<float>(rng.next_gaussian());
-  tensor::sigmoid(tensor::Policy::kSerial, in.data(), serial.data(), kN);
-  tensor::sigmoid(tensor::Policy::kDataParallel, in.data(), parallel.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ASSERT_FLOAT_EQ(serial[i], parallel[i]);
-}
 
 TEST(Tensor, BufferTracksBytes) {
   tensor::reset_peak_bytes();
@@ -581,21 +548,52 @@ TEST(Engine, FastSigmoidEmbedMatchesExactWithin1e5) {
   }
 }
 
-TEST(Engine, MemoryScalesWithBatch) {
+TEST(Engine, MemoryIsTileResident) {
+  // Only V and the per-row captures (output activations, row loss, one
+  // tile-loss double per 64 rows) grow with batch; the activations and
+  // gradients live in 2 * n_slots * 64 floats of scratch per part.
   Circuit c;
   const SignalId a = c.add_input();
   const SignalId b = c.add_input();
+  const SignalId d = c.add_input();
   c.add_output(c.add_gate(GateType::kAnd, {a, b}), true);
+  c.add_output(c.add_gate(GateType::kXor, {b, d}), false);
   const CompiledCircuit compiled(c);
-  Engine::Config small;
-  small.batch = 128;
-  Engine::Config big;
-  big.batch = 1024;
-  const Engine engine_small(compiled, small);
-  const Engine engine_big(compiled, big);
-  const double ratio = static_cast<double>(engine_big.memory_bytes()) /
-                       static_cast<double>(engine_small.memory_bytes());
-  EXPECT_NEAR(ratio, 8.0, 0.2);  // linear in batch
+  const std::size_t n_inputs = compiled.n_circuit_inputs();
+  const std::size_t n_outputs = compiled.outputs().size();
+  const std::size_t part_bytes = 2 * compiled.n_slots() * 64 * sizeof(float);
+  auto per_batch_bytes = [&](std::size_t batch) {
+    const std::size_t padded = (batch + 63) / 64 * 64;
+    return (n_inputs + n_outputs + 1) * padded * sizeof(float) +
+           padded / 64 * sizeof(double);
+  };
+  auto memory_at = [&](std::size_t batch, tensor::Policy policy) {
+    Engine::Config config;
+    config.batch = batch;
+    config.policy = policy;
+    return Engine(compiled, config).memory_bytes();
+  };
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{128},
+                                  std::size_t{1000}, std::size_t{8192}}) {
+    // One part serially: the scratch share is the same at every batch.
+    EXPECT_EQ(memory_at(batch, tensor::Policy::kSerial) - per_batch_bytes(batch),
+              part_bytes)
+        << batch;
+    // Tile-parallel: one part per pool thread, capped by the tile count.
+    const std::size_t parts = std::min((batch + 63) / 64,
+                                       util::ThreadPool::global().size());
+    EXPECT_EQ(memory_at(batch, tensor::Policy::kDataParallel) -
+                  per_batch_bytes(batch),
+              parts * part_bytes)
+        << batch;
+  }
+  // The Fig. 3 model stays the analytic PyTorch-style footprint: V, V.grad
+  // and batch-sized activations and gradients.
+  for (const std::size_t batch : {std::size_t{100}, std::size_t{1000000}}) {
+    const std::size_t padded = (batch + 63) / 64 * 64;
+    EXPECT_EQ(Engine::predicted_bytes(compiled, batch),
+              (2 * n_inputs + 2 * compiled.n_slots()) * padded * sizeof(float));
+  }
 }
 
 TEST(Engine, UnconstrainedInputsKeepRandomInit) {

@@ -121,8 +121,7 @@ TEST(ProjectedGolden, PoliciesProduceBitIdenticalProjectedStreams) {
     formula.set_sampling_set(set);
 
     constexpr tensor::Policy kPolicies[] = {tensor::Policy::kSerial,
-                                            tensor::Policy::kDataParallel,
-                                            tensor::Policy::kLevelParallel};
+                                            tensor::Policy::kDataParallel};
     bool have_reference = false;
     sampler::RunResult reference;
     for (const tensor::Policy policy : kPolicies) {
@@ -286,8 +285,7 @@ TEST(WeightedLoss, PoliciesAgreeOnWeightedStreams) {
   bool have_reference = false;
   sampler::RunResult reference;
   for (const tensor::Policy policy : {tensor::Policy::kSerial,
-                                      tensor::Policy::kDataParallel,
-                                      tensor::Policy::kLevelParallel}) {
+                                      tensor::Policy::kDataParallel}) {
     sampler::GradientConfig config;
     config.batch = 256;
     config.max_rounds = 2;

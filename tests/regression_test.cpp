@@ -152,9 +152,9 @@ TEST(GdHarvest, StoreAllDrawsKeepsDuplicates) {
 // --- golden determinism of full sampling runs ---------------------------------------
 //
 // Every engine policy executes the compiled plan in the same order (forward
-// in plan order, backward in reverse plan order) with chunk boundaries fixed
-// at plan time — so a fixed-seed sampling run must reproduce the *exact*
-// solution stream regardless of scheduling policy or machine thread count.
+// in plan order, backward in reverse plan order) inside each 64-row tile —
+// so a fixed-seed sampling run must reproduce the *exact* solution stream
+// regardless of scheduling policy or machine thread count.
 // The harvester's two-phase collect preserves this through the discrete half
 // of the loop.  With store_limit above the unique yield the stored stream
 // *is* the unique-solution fingerprint (every new unique is stored, in bank
@@ -166,8 +166,7 @@ TEST(GoldenDeterminism, FixedSeedRunsReproduceFingerprintsAcrossPolicies) {
   for (const auto& name : {"or-50-10-7-UC-10", "75-10-1-q"}) {
     const auto instance = benchgen::make_instance(name, gen);
     constexpr tensor::Policy kPolicies[] = {tensor::Policy::kSerial,
-                                            tensor::Policy::kDataParallel,
-                                            tensor::Policy::kLevelParallel};
+                                            tensor::Policy::kDataParallel};
     bool have_reference = false;
     sampler::RunResult reference;
     std::vector<std::size_t> reference_curve;
@@ -205,14 +204,14 @@ TEST(GoldenDeterminism, FixedSeedRunsReproduceFingerprintsAcrossPolicies) {
 }
 
 TEST(GoldenDeterminism, RepeatedRunsReproduceExactly) {
-  // Same config twice (level-parallel, the policy with the most scheduling
+  // Same config twice (tile-parallel, the policy with the most scheduling
   // freedom): the stream must be bit-identical run to run.
   benchgen::GenOptions gen;
   gen.scale = 0.05;
   const auto instance = benchgen::make_instance("75-10-1-q", gen);
   sampler::GradientConfig config;
   config.batch = 256;
-  config.policy = tensor::Policy::kLevelParallel;
+  config.policy = tensor::Policy::kDataParallel;
   config.max_rounds = 2;
   sampler::RunOptions options;
   options.min_solutions = 0;

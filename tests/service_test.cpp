@@ -498,6 +498,20 @@ TEST(ServiceAdmission, InfeasibleDeadlineIsRejectedAtSubmitWithoutCompiling) {
   EXPECT_EQ(server.stats().rejected, 1u);
 }
 
+TEST(ServiceAdmission, ZeroBatchIsRejectedAtSubmitAndSparesItsNeighbor) {
+  Server server({.n_workers = 2});
+  SamplingRequest bad = small_request(formula_a());
+  bad.config.batch = 0;
+  const JobHandle rejected = server.submit(std::move(bad));
+  const JobHandle neighbor = server.submit(small_request(formula_b(), 10));
+  EXPECT_EQ(rejected.status(), JobStatus::kRejected);  // terminal within submit()
+  EXPECT_EQ(rejected.error().category, ErrorCategory::kAdmission);
+  EXPECT_NE(rejected.error().message.find("batch"), std::string::npos);
+  EXPECT_EQ(rejected.stats().compile_ms, 0.0);
+  EXPECT_EQ(neighbor.wait(), JobStatus::kCompleted);
+  EXPECT_EQ(server.stats().rejected, 1u);
+}
+
 TEST(ServiceAdmission, FeasibleDeadlineIsAcceptedAndServed) {
   ServerConfig config{.n_workers = 2};
   config.admission.enabled = true;
