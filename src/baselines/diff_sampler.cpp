@@ -53,23 +53,8 @@ sampler::RunResult DiffSampler::run(const cnf::Formula& formula,
     gd_problem.sampling_set = formula.sampling_set();
   }
 
-  sampler::GdLoopConfig loop_config;
-  loop_config.batch = config_.batch;
-  loop_config.iterations = config_.iterations;
-  loop_config.learning_rate = config_.learning_rate;
-  loop_config.init_std = config_.init_std;
-  loop_config.policy = config_.policy;
-  loop_config.n_workers = config_.n_workers;
-  loop_config.restart_solved = config_.restart_solved;
-  loop_config.restart_plateau = config_.restart_plateau;
-  loop_config.fast_sigmoid = config_.fast_sigmoid;
-  loop_config.amplify = config_.amplify;
-  loop_config.projected_dedup = config_.projected_dedup;
-  loop_config.diversity_restart = config_.diversity_restart;
-  loop_config.lit_weights = config_.lit_weights;
-
   sampler::RunResult result =
-      run_gd_loop(gd_problem, formula, options, loop_config, nullptr);
+      run_gd_loop(gd_problem, formula, options, config_, nullptr);
   result.sampler_name = name();
   result.setup_ms = setup_ms;
   return result;

@@ -14,36 +14,12 @@
 
 namespace hts::baselines {
 
-struct DiffSamplerConfig {
-  std::size_t batch = 4096;
+/// Every loop knob (see GdLoopConfig); a formula's 'c ind' set scopes the
+/// amplifier's flips and projected dedup, as for the paper's sampler.
+struct DiffSamplerConfig : sampler::GdLoopConfig {
   /// Flat-CNF GD needs more iterations to zero in than the circuit form;
   /// the original DiffSampler runs tens of optimizer steps.
-  int iterations = 20;
-  float learning_rate = 10.0f;
-  float init_std = 2.0f;
-  tensor::Policy policy = tensor::Policy::kDataParallel;
-  /// Round-parallel workers (see GdLoopConfig::n_workers) — the DEMOTIC-style
-  /// baseline scales the same way the paper's sampler does.
-  std::size_t n_workers = 1;
-  /// Solved-row restarts (see GdLoopConfig::restart_solved).
-  bool restart_solved = true;
-  /// Plateau restarts in harvest windows; 0 disables (see
-  /// GdLoopConfig::restart_plateau).  The flat-CNF landscape is exactly
-  /// where stuck basins show up, so this knob matters most here.
-  std::size_t restart_plateau = 0;
-  /// Vectorized fast sigmoid for the embed step (see Engine::Config).
-  bool fast_sigmoid = true;
-  /// Flip-amplify freshly banked solutions after every harvest (see
-  /// sampler::AmplifyConfig; the formula's 'c ind' set scopes the flips).
-  sampler::AmplifyConfig amplify;
-  /// Key unique solutions on the sampling-set projection when the formula
-  /// declares a 'c ind' set (see GdLoopConfig::projected_dedup).
-  bool projected_dedup = true;
-  /// Re-seed rows descending into already-banked projected classes (see
-  /// GdLoopConfig::diversity_restart).
-  bool diversity_restart = false;
-  /// Per-literal loss weights (see sampler::LitWeight).
-  std::vector<sampler::LitWeight> lit_weights;
+  DiffSamplerConfig() { iterations = 20; }
 };
 
 /// Builds the flat problem: inputs = original variables, one OR gate per

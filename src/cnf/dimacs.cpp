@@ -1,8 +1,10 @@
 #include "cnf/dimacs.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -130,6 +132,15 @@ Formula parse_dimacs(std::istream& in) {
   if (declared_vars < 0 || declared_clauses < 0) {
     throw DimacsError("missing 'p cnf' header", cursor.line);
   }
+  // Lit packs 2 * var + sign into 32 bits and Lit::from_dimacs takes an
+  // int, so INT32_MAX variables is the most a formula can address.
+  constexpr long long kMaxVars = std::numeric_limits<std::int32_t>::max();
+  if (declared_vars > kMaxVars) {
+    throw DimacsError("variable count " + std::to_string(declared_vars) +
+                          " exceeds the supported maximum " +
+                          std::to_string(kMaxVars),
+                      cursor.line);
+  }
 
   Formula formula(static_cast<Var>(declared_vars));
   // 'c ind' ranges are checked against the header once the clause section
@@ -182,8 +193,9 @@ Formula parse_dimacs(std::istream& in) {
       clause_open = false;
       continue;
     }
-    const long long var_1based = value > 0 ? value : -value;
-    if (var_1based > declared_vars) {
+    // Compared against +-declared_vars without negating the literal, which
+    // would overflow for LLONG_MIN.
+    if (value > declared_vars || value < -declared_vars) {
       throw DimacsError("literal " + token + " exceeds declared variable count " +
                             std::to_string(declared_vars),
                         cursor.line);

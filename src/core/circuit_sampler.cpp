@@ -21,30 +21,13 @@ RunResult CircuitSampler::run(const RunOptions& options) {
   problem.sampling_set =
       normalize_sampling_set(config_.sampling_set, input_signals_.size());
 
-  GdLoopConfig loop_config;
-  loop_config.batch = config_.batch;
-  loop_config.iterations = config_.iterations;
-  loop_config.learning_rate = config_.learning_rate;
-  loop_config.init_std = config_.init_std;
-  loop_config.cone_only = config_.cone_only;
-  loop_config.policy = config_.policy;
-  loop_config.max_rounds = config_.max_rounds;
-  loop_config.n_workers = config_.n_workers;
-  loop_config.restart_solved = config_.restart_solved;
-  loop_config.restart_plateau = config_.restart_plateau;
-  loop_config.fast_sigmoid = config_.fast_sigmoid;
-  loop_config.amplify = config_.amplify;
-  loop_config.projected_dedup = config_.projected_dedup;
-  loop_config.diversity_restart = config_.diversity_restart;
-  loop_config.lit_weights = config_.lit_weights;
-
   // verify_against_cnf is meaningless here (there is no CNF); the loop
   // already verifies every row against the circuit's output constraints.
   RunOptions effective = options;
   effective.verify_against_cnf = false;
 
   RunResult result =
-      run_gd_loop(problem, empty_formula_, effective, loop_config, &extras_);
+      run_gd_loop(problem, empty_formula_, effective, config_, &extras_);
   result.sampler_name = "HTS-GD(circuit)";
   return result;
 }

@@ -16,41 +16,14 @@
 
 namespace hts::sampler {
 
-struct CircuitSamplerConfig {
-  std::size_t batch = 4096;
-  int iterations = 5;
-  float learning_rate = 10.0f;
-  float init_std = 2.0f;
-  bool cone_only = false;
-  tensor::Policy policy = tensor::Policy::kDataParallel;
-  std::uint64_t max_rounds = 0;
-  /// Round-parallel workers (see GdLoopConfig::n_workers).
-  std::size_t n_workers = 1;
-  /// Solved-row restarts (see GdLoopConfig::restart_solved).
-  bool restart_solved = true;
-  /// Plateau restarts in harvest windows; 0 disables (see
-  /// GdLoopConfig::restart_plateau).
-  std::size_t restart_plateau = 0;
-  /// Vectorized fast sigmoid for the embed step (see Engine::Config).
-  bool fast_sigmoid = true;
-  /// Flip-amplify freshly banked solutions after every harvest (see
-  /// AmplifyConfig; the flip support is sampling_set when one is given,
-  /// every circuit input otherwise).
-  AmplifyConfig amplify;
+/// Every loop knob (see GdLoopConfig) plus the circuit path's sampling set.
+struct CircuitSamplerConfig : GdLoopConfig {
   /// Sampling/projection set over circuit input *positions* (the circuit
   /// path's counterpart of a CNF 'c ind' set; input i is pseudo-variable
   /// i).  Empty means every input.  Scopes the amplifier's flip support
   /// and, with projected_dedup, keys unique solutions on the projection.
   /// Unsorted/duplicate/out-of-range entries are normalized away.
   std::vector<cnf::Var> sampling_set;
-  /// Key unique solutions on the sampling-set projection when
-  /// sampling_set is non-empty (see GdLoopConfig::projected_dedup).
-  bool projected_dedup = true;
-  /// Re-seed rows descending into already-banked projected classes (see
-  /// GdLoopConfig::diversity_restart).
-  bool diversity_restart = false;
-  /// Per-literal loss weights over input positions (see LitWeight).
-  std::vector<LitWeight> lit_weights;
 };
 
 class CircuitSampler {

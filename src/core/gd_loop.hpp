@@ -8,6 +8,8 @@
 // handed in.  Keeping one loop guarantees the Table II / Fig. 4 comparisons
 // measure the transformation, not incidental implementation differences.
 
+#include <algorithm>
+
 #include "core/sampler.hpp"
 #include "circuit/circuit.hpp"
 #include "tensor/tensor.hpp"
@@ -72,13 +74,23 @@ struct AmplifyConfig {
   std::size_t max_bases_per_collect = 0;
 };
 
+/// The loop's knobs, declared once.  GradientConfig, CircuitSamplerConfig
+/// and DiffSamplerConfig derive from this struct and add only what their
+/// front end needs, so a new knob reaches every sampler and the service
+/// without a mapping to update.
 struct GdLoopConfig {
   std::size_t batch = 4096;
-  int iterations = 5;
-  float learning_rate = 10.0f;
+  int iterations = 5;           // the paper's setting; must be >= 0
+  float learning_rate = 10.0f;  // the paper's setting
   float init_std = 2.0f;
+  /// Harden-and-collect after every iteration (the Fig. 3 learning curve
+  /// harvests per-iteration; disabling collects only after the last one).
   bool collect_each_iteration = true;
+  /// Compile only the constrained cone for GD (ablation; unconstrained
+  /// inputs stay at their random initialization either way).
   bool cone_only = false;
+  /// Engine kernel scheduling.  kSerial also keeps the harvest on the
+  /// calling thread (see RoundRunner).
   tensor::Policy policy = tensor::Policy::kDataParallel;
   /// Stop after this many randomize->iterate rounds (0 = unlimited).  Used
   /// by the Fig. 3 learning-curve harness to observe exactly one round.
@@ -101,7 +113,8 @@ struct GdLoopConfig {
   /// random V, like a solved row would.  0 (default) disables — the loop is
   /// then bit-identical to the pre-plateau implementation (no extra RNG
   /// draws).  Trackers reset every round; solved rows are restart_solved's
-  /// business and are never counted here.
+  /// business and are never counted here.  The flat-CNF landscape of the
+  /// DiffSampler baseline is where stuck basins show up most.
   std::size_t restart_plateau = 0;
   /// Embed with the vectorized fast sigmoid (see Engine::Config).
   bool fast_sigmoid = true;
@@ -111,7 +124,8 @@ struct GdLoopConfig {
   bool optimize_tape = true;
   /// Flip-amplify freshly banked solutions after every harvest (see
   /// AmplifyConfig; off by default, and off is bit-identical to the
-  /// pre-amplifier loop).
+  /// pre-amplifier loop).  The flip support is the sampling set when one is
+  /// active, every circuit input otherwise.
   AmplifyConfig amplify;
   /// When a sampling set is active, key the unique bank on the projection
   /// onto that set: two solutions identical over the set count as one
@@ -133,17 +147,20 @@ struct GdLoopConfig {
   std::vector<LitWeight> lit_weights;
 };
 
-struct GdLoopExtras {
-  /// Cumulative unique count observed at iteration i (Fig. 3 left).
-  std::vector<std::size_t> uniques_per_iteration;
+/// What one run of the loop did and what it cost, declared once and read by
+/// GdLoopExtras, service::JobStats and the benches.  RoundRunner fills one
+/// per session; the round-parallel loop sums its workers' with +=.
+struct LoopCounters {
+  /// Engine bytes held (Engine::memory_bytes), summed across engines:
+  /// memory scales with workers just as V does with batch.
   std::size_t engine_memory_bytes = 0;
   std::uint64_t rounds = 0;
   /// Rows re-seeded by solved-row restarts (0 when the knob is off).
   std::uint64_t restarted_rows = 0;
   /// Rows re-seeded by plateau restarts (0 when restart_plateau is off).
   std::uint64_t plateau_restarted_rows = 0;
-  /// Engine iterations executed across all workers (each is one full
-  /// embed/forward/backward/update sweep over the batch).
+  /// Engine iterations executed (each is one full embed/forward/backward/
+  /// update sweep over the batch).
   std::uint64_t gd_iterations = 0;
   /// Batch rows validated by the harvest pipeline and the wall-clock spent
   /// doing it, both summed across workers.  Their ratio is the *mean
@@ -163,8 +180,31 @@ struct GdLoopExtras {
   /// off or no sampling set is active).
   std::uint64_t diversity_restarted_rows = 0;
   /// Engine inputs carrying a literal-weight bias (0 when lit_weights is
-  /// empty or nothing resolved onto a circuit input).
+  /// empty or nothing resolved onto a circuit input).  A per-engine value:
+  /// every engine of one run resolves the same weights, so += keeps it
+  /// rather than summing it.
   std::size_t weighted_inputs = 0;
+
+  LoopCounters& operator+=(const LoopCounters& other) {
+    engine_memory_bytes += other.engine_memory_bytes;
+    rounds += other.rounds;
+    restarted_rows += other.restarted_rows;
+    plateau_restarted_rows += other.plateau_restarted_rows;
+    gd_iterations += other.gd_iterations;
+    rows_validated += other.rows_validated;
+    harvest_ms += other.harvest_ms;
+    amplified_candidates += other.amplified_candidates;
+    amplified_uniques += other.amplified_uniques;
+    amplify_ms += other.amplify_ms;
+    diversity_restarted_rows += other.diversity_restarted_rows;
+    weighted_inputs = std::max(weighted_inputs, other.weighted_inputs);
+    return *this;
+  }
+};
+
+struct GdLoopExtras : LoopCounters {
+  /// Cumulative unique count observed at iteration i (Fig. 3 left).
+  std::vector<std::size_t> uniques_per_iteration;
 };
 
 /// True when the bank keys on the sampling-set projection: a set is active
@@ -188,7 +228,9 @@ struct GdLoopExtras {
 /// options.min_solutions unique solutions are collected, the deadline
 /// expires, or options.stop requests cancellation (polled at round and
 /// iteration boundaries; partial results are returned cleanly).  `formula`
-/// is only consulted for RunOptions::verify_against_cnf.
+/// is only consulted for RunOptions::verify_against_cnf.  Throws
+/// std::invalid_argument, before building anything, when
+/// config.iterations < 0.
 [[nodiscard]] RunResult run_gd_loop(const GdProblem& problem,
                                     const cnf::Formula& formula,
                                     const RunOptions& options,

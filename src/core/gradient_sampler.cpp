@@ -5,28 +5,6 @@
 
 namespace hts::sampler {
 
-GdLoopConfig make_gd_loop_config(const GradientConfig& config) {
-  GdLoopConfig loop_config;
-  loop_config.batch = config.batch;
-  loop_config.iterations = config.iterations;
-  loop_config.learning_rate = config.learning_rate;
-  loop_config.init_std = config.init_std;
-  loop_config.collect_each_iteration = config.collect_each_iteration;
-  loop_config.cone_only = config.cone_only;
-  loop_config.policy = config.policy;
-  loop_config.max_rounds = config.max_rounds;
-  loop_config.n_workers = config.n_workers;
-  loop_config.restart_solved = config.restart_solved;
-  loop_config.restart_plateau = config.restart_plateau;
-  loop_config.fast_sigmoid = config.fast_sigmoid;
-  loop_config.optimize_tape = config.optimize_tape;
-  loop_config.amplify = config.amplify;
-  loop_config.projected_dedup = config.projected_dedup;
-  loop_config.diversity_restart = config.diversity_restart;
-  loop_config.lit_weights = config.lit_weights;
-  return loop_config;
-}
-
 RunResult GradientSampler::run(const cnf::Formula& formula,
                                const RunOptions& options) {
   RunResult result;
@@ -52,10 +30,8 @@ RunResult GradientSampler::run(const cnf::Formula& formula,
     gd_problem.sampling_set = formula.sampling_set();
   }
 
-  const GdLoopConfig loop_config = make_gd_loop_config(config_);
-
   extras_ = GdLoopExtras{};
-  result = run_gd_loop(gd_problem, formula, options, loop_config, &extras_);
+  result = run_gd_loop(gd_problem, formula, options, config_, &extras_);
   result.sampler_name = name();
   result.setup_ms = setup_ms;
   return result;

@@ -20,58 +20,19 @@
 
 namespace hts::sampler {
 
-struct GradientConfig {
-  std::size_t batch = 4096;
-  int iterations = 5;           // the paper's setting
-  float learning_rate = 10.0f;  // the paper's setting
-  float init_std = 2.0f;
-  /// Harden-and-collect after every iteration (the Fig. 3 learning curve
-  /// harvests per-iteration; disabling collects only after the last one).
-  bool collect_each_iteration = true;
-  /// Compile only the constrained cone for GD (ablation; unconstrained
-  /// inputs stay at their random initialization either way).
-  bool cone_only = false;
-  tensor::Policy policy = tensor::Policy::kDataParallel;
-  /// Stop after this many rounds regardless of targets (0 = unlimited).
-  std::uint64_t max_rounds = 0;
-  /// Round-parallel workers (see GdLoopConfig::n_workers): 1 = the legacy
-  /// serial loop, 0 = hardware concurrency, N > 1 = N engines racing through
-  /// decorrelated rounds into a shared unique bank.
-  std::size_t n_workers = 1;
-  /// Re-seed rows that already satisfied after each mid-round harvest
-  /// (see GdLoopConfig::restart_solved).
-  bool restart_solved = true;
-  /// Re-seed rows whose per-row loss plateaued above zero for this many
-  /// harvest windows; 0 disables (see GdLoopConfig::restart_plateau).
-  std::size_t restart_plateau = 0;
-  /// Vectorized fast sigmoid for the embed step (see Engine::Config).
-  bool fast_sigmoid = true;
-  /// Tape optimizer (see GdLoopConfig::optimize_tape).
-  bool optimize_tape = true;
-  /// Flip-amplify freshly banked solutions after every harvest (see
-  /// AmplifyConfig; off = bit-identical legacy stream).  The flip support is
-  /// the formula's sampling set ('c ind') when one is declared.
-  AmplifyConfig amplify;
-  /// Key unique solutions on the sampling-set projection when a set is
-  /// active (see GdLoopConfig::projected_dedup).
-  bool projected_dedup = true;
-  /// Re-seed rows descending into already-banked projected classes (see
-  /// GdLoopConfig::diversity_restart; needs a sampling set + projected
-  /// dedup, off by default).
-  bool diversity_restart = false;
-  /// Per-literal loss weights (see LitWeight; empty = unweighted,
-  /// bit-identical stream).
-  std::vector<LitWeight> lit_weights;
+/// The paper's sampler takes every loop knob (see GdLoopConfig) plus the
+/// CNF -> circuit transformation's settings.  A formula's sampling set
+/// ('c ind') scopes the amplifier's flips and projected dedup.
+struct GradientConfig : GdLoopConfig {
   transform::Config transform;
 };
 
-/// Loop configuration implied by a sampler configuration.  One mapping,
-/// shared by GradientSampler::run and the sampling service's job runner, so
-/// a GradientConfig knob can never silently stop reaching the loop on one
-/// of the two paths.  (transform is consumed earlier, at circuit-extraction
-/// time, and n_workers is ignored by the service — its parallelism axis is
-/// concurrent requests, not round-parallel workers within one.)
-[[nodiscard]] GdLoopConfig make_gd_loop_config(const GradientConfig& config);
+/// The loop part of a sampler configuration: a plain slice, kept for
+/// callers that hold a GradientConfig and want the GdLoopConfig value.
+[[nodiscard]] inline GdLoopConfig make_gd_loop_config(
+    const GradientConfig& config) {
+  return config;
+}
 
 class GradientSampler : public Sampler {
  public:

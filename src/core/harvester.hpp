@@ -93,8 +93,8 @@ class Harvester {
   /// workers (it is immutable after construction), or leave it null and the
   /// harvester compiles its own.
   /// `inline_eval` keeps the evaluation phase on the calling thread even
-  /// when the global pool is real: the sampling service sets it for the
-  /// same reason its engines default to kSerial — concurrent jobs are the
+  /// when the global pool is real: RoundRunner sets it for kSerial configs,
+  /// which is what the sampling service runs — concurrent jobs are the
   /// parallelism axis, and a loaded fleet fanning every harvest out to one
   /// shared pool only adds queue contention and oversubscription.
   Harvester(const GdProblem& problem, const cnf::Formula& formula,

@@ -1,33 +1,34 @@
 #pragma once
 
-// One GD round (randomize -> iterate -> harden -> harvest, with restarts),
-// extracted from the run-to-completion loops of gd_loop.cpp so a third
-// caller — the sampling service, which time-slices jobs at round
-// granularity — executes the *identical* round body instead of a paraphrase
-// of it.  The serial loop, the round-parallel workers, and a service job
-// all construct a RoundRunner over their own engine/harvester pair and
-// drive it one round at a time; what differs between them (where the
-// unique count lives, what a checkpoint records, when to bail out) enters
-// through the two callbacks.
+// One session of the GD loop: an engine, a harvester and the restart and
+// amplify helpers, built one way from (compiled tape, EvalPlan, problem,
+// options, config, bank) and driven one round at a time.  The serial loop,
+// the round-parallel workers and a service job all build a RoundRunner and
+// call run_round; what differs between them (where the unique count lives,
+// what a checkpoint records, when to bail out) enters through the two
+// callbacks.
 //
 // Determinism contract: for a fixed RNG state the runner consumes random
 // draws in exactly the historical order (randomize, then restart draws per
 // harvest window), calls collect() at exactly the historical points, and
-// never draws on behalf of bookkeeping — so run_serial stays bit-identical
-// to the pre-extraction loop, and a service job whose rounds are seeded
-// per-round (util::Rng::stream(seed, round)) produces one well-defined
-// solution stream no matter which worker runs which slice.
+// never draws on behalf of bookkeeping — so the serial loop stays
+// bit-identical to the pre-extraction loop, and a service job whose rounds
+// are seeded per-round (util::Rng::stream(seed, round)) produces one
+// well-defined solution stream no matter which worker runs which slice.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "circuit/eval_plan.hpp"
 #include "core/amplifier.hpp"
 #include "core/gd_loop.hpp"
 #include "core/harvester.hpp"
+#include "prob/compiled.hpp"
 #include "prob/engine.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -36,28 +37,20 @@
 
 namespace hts::sampler {
 
-/// Engine configuration implied by a loop configuration; shared by every
-/// call site that builds an Engine for the GD loop (serial, round-parallel
-/// workers, service jobs), so a config knob can never reach one path but
-/// not another.
+/// Engine configuration implied by a loop configuration, shared by every
+/// engine built for the GD loop, so a config knob can never reach one path
+/// but not another.  GdLoopConfig::lit_weights resolve through the
+/// problem's input -> variable mapping into engine bias terms; variables
+/// that never became circuit inputs are dropped (there is nothing to
+/// steer), and several weights on one variable simply stack.
 [[nodiscard]] inline prob::Engine::Config engine_config_for(
-    const GdLoopConfig& config) {
+    const GdLoopConfig& config, const GdProblem& problem) {
   prob::Engine::Config engine_config;
   engine_config.batch = config.batch;
   engine_config.learning_rate = config.learning_rate;
   engine_config.init_std = config.init_std;
   engine_config.policy = config.policy;
   engine_config.fast_sigmoid = config.fast_sigmoid;
-  return engine_config;
-}
-
-/// Problem-aware overload: additionally resolves GdLoopConfig::lit_weights
-/// through the problem's input -> variable mapping into engine bias terms.
-/// Variables that never became circuit inputs are dropped (there is nothing
-/// to steer); several weights on one variable simply stack.
-[[nodiscard]] inline prob::Engine::Config engine_config_for(
-    const GdLoopConfig& config, const GdProblem& problem) {
-  prob::Engine::Config engine_config = engine_config_for(config);
   if (config.lit_weights.empty()) return engine_config;
   const std::size_t n_inputs = problem.circuit->n_inputs();
   for (std::size_t i = 0; i < n_inputs; ++i) {
@@ -139,17 +132,35 @@ class PlateauTracker {
 template <typename Bank>
 class RoundRunner {
  public:
-  /// The engine and harvester are borrowed for the runner's lifetime; the
-  /// packed-bits buffer and plateau tracker are owned here and reused
-  /// across rounds (no per-round allocation after the first).
-  RoundRunner(const GdLoopConfig& config, prob::Engine& engine,
-              Harvester<Bank>& harvester)
-      : config_(config), engine_(engine), harvester_(harvester) {
-    if (config.restart_plateau > 0) {
-      plateau_.emplace(config.batch, engine.n_words(), config.restart_plateau);
+  /// Builds the session: an engine over `compiled`, a harvester over
+  /// `eval_plan` banking into `bank` and accounting into result(), and the
+  /// plateau tracker and amplifier the config asks for.  The runner keeps
+  /// its own copies of the problem, the options and the config; `compiled`,
+  /// `eval_plan`, `formula`, `bank` and whatever the problem points at are
+  /// borrowed and must outlive it.  A kSerial config also runs the harvest
+  /// inline on the calling thread: concurrent sessions (service jobs) are
+  /// then the parallelism axis, and fanning every harvest out to one shared
+  /// pool would only add queue contention.
+  RoundRunner(const prob::CompiledCircuit& compiled,
+              const circuit::EvalPlan& eval_plan, GdProblem problem,
+              const cnf::Formula& formula, RunOptions options,
+              GdLoopConfig config, Bank& bank)
+      : problem_(std::move(problem)),
+        options_(std::move(options)),
+        config_(std::move(config)),
+        engine_(compiled, engine_config_for(config_, problem_)),
+        harvester_(problem_, formula, options_, bank, result_, &eval_plan,
+                   /*inline_eval=*/config_.policy == tensor::Policy::kSerial,
+                   harvest_mode_for(problem_, config_)) {
+    if (config_.restart_plateau > 0) {
+      plateau_.emplace(config_.batch, engine_.n_words(),
+                       config_.restart_plateau);
     }
-    if (config.amplify.enabled) amplifier_.emplace(config, harvester);
+    if (config_.amplify.enabled) amplifier_.emplace(config_, harvester_);
   }
+  // The harvester and amplifier hold references into this object.
+  RoundRunner(const RoundRunner&) = delete;
+  RoundRunner& operator=(const RoundRunner&) = delete;
 
   /// Runs one randomize -> iterate -> harden -> harvest round.
   ///
@@ -168,10 +179,8 @@ class RoundRunner {
     // the harvest order — so instrumented and plain rounds are bit-identical.
     const bool traced = telemetry::trace_enabled();
     const std::uint64_t round_begin_ns = traced ? util::monotonic_ns() : 0;
-    const std::uint64_t iters_before = gd_iterations_;
-    const std::uint64_t solved_before = restarted_rows_;
-    const std::uint64_t plateau_before = plateau_restarted_rows_;
-    const std::uint64_t diversity_before = diversity_restarted_rows_;
+    const LoopCounters before = counters_;
+    ++counters_.rounds;
     engine_.randomize(rng);
     if (plateau_) plateau_->begin_round();
     // Whether the diversity objective can steer projections at all: it
@@ -183,11 +192,11 @@ class RoundRunner {
     // the remaining iterations instead of re-converging to the same basin.
     // When the diversity objective steers, it takes over solved rows
     // entirely (mutating them in place instead of redrawing them), so the
-    // plain restart is skipped and restarted_rows() reads ~0 for such runs —
-    // the recycling shows up in diversity_restarted_rows() instead.
+    // plain restart is skipped and restarted_rows reads ~0 for such runs —
+    // the recycling shows up in diversity_restarted_rows instead.
     auto restart_solved_rows = [&] {
       if (config_.restart_solved && !diversity_steers) {
-        restarted_rows_ +=
+        counters_.restarted_rows +=
             engine_.rerandomize_rows(harvester_.last_solved(), rng);
       }
     };
@@ -195,7 +204,7 @@ class RoundRunner {
     // the engine's activations come from this round's own forward pass.
     auto restart_plateau_rows = [&] {
       if (plateau_) {
-        plateau_restarted_rows_ += engine_.rerandomize_rows(
+        counters_.plateau_restarted_rows += engine_.rerandomize_rows(
             plateau_->observe(engine_, harvester_.last_solved()), rng);
       }
     };
@@ -230,7 +239,7 @@ class RoundRunner {
       if (slots.empty()) {
         // No set variable survives as an engine input: nothing to pin, so
         // re-seeding the flagged rows is all the steering available.
-        diversity_restarted_rows_ += count_rows(flagged);
+        counters_.diversity_restarted_rows += count_rows(flagged);
         engine_.rerandomize_rows(flagged, rng);
         return;
       }
@@ -249,10 +258,11 @@ class RoundRunner {
             continue;
           }
           engine_.pin_row_inputs(w * 64 + r, slots, pattern);
-          ++diversity_restarted_rows_;
+          ++counters_.diversity_restarted_rows;
         }
       }
-      diversity_restarted_rows_ += engine_.rerandomize_rows(fallback_mask_, rng);
+      counters_.diversity_restarted_rows +=
+          engine_.rerandomize_rows(fallback_mask_, rng);
     };
     // Iteration-0 checkpoint: random initialization already satisfies the
     // unconstrained paths (and occasionally everything).
@@ -269,7 +279,7 @@ class RoundRunner {
     }
     for (int iter = 1; iter <= config_.iterations; ++iter) {
       engine_.run_iteration();
-      ++gd_iterations_;
+      ++counters_.gd_iterations;
       if (config_.collect_each_iteration || iter == config_.iterations) {
         engine_.harden(packed_);
         harvester_.collect(packed_, engine_.n_words(), config_.batch);
@@ -283,40 +293,37 @@ class RoundRunner {
       }
       if (stop_now()) break;
     }
-    if (telemetry::metrics_enabled()) record_round_metrics(
-        gd_iterations_ - iters_before, restarted_rows_ - solved_before,
-        plateau_restarted_rows_ - plateau_before,
-        diversity_restarted_rows_ - diversity_before);
+    if (telemetry::metrics_enabled()) {
+      record_round_metrics(
+          counters_.gd_iterations - before.gd_iterations,
+          counters_.restarted_rows - before.restarted_rows,
+          counters_.plateau_restarted_rows - before.plateau_restarted_rows,
+          counters_.diversity_restarted_rows -
+              before.diversity_restarted_rows);
+    }
     if (traced) {
       telemetry::TraceSink::global().complete("gd_round", "gd", round_begin_ns,
                                               util::monotonic_ns());
     }
   }
 
-  /// Rows re-seeded by solved-row restarts over the runner's lifetime.
-  [[nodiscard]] std::uint64_t restarted_rows() const { return restarted_rows_; }
-  /// Rows re-seeded by plateau restarts over the runner's lifetime.
-  [[nodiscard]] std::uint64_t plateau_restarted_rows() const {
-    return plateau_restarted_rows_;
-  }
-  /// Rows re-seeded by the diversity objective over the runner's lifetime.
-  [[nodiscard]] std::uint64_t diversity_restarted_rows() const {
-    return diversity_restarted_rows_;
-  }
-  /// Engine iterations executed over the runner's lifetime (JobStats fuel
-  /// gauge for the service).
-  [[nodiscard]] std::uint64_t gd_iterations() const { return gd_iterations_; }
+  /// The session's accounting (n_valid, n_invalid, stored solutions,
+  /// progress); callers may drain solutions and append progress points.
+  [[nodiscard]] RunResult& result() { return result_; }
 
-  /// Amplifier billing over the runner's lifetime; all zero when
-  /// GdLoopConfig::amplify is off.
-  [[nodiscard]] std::uint64_t amplified_candidates() const {
-    return amplifier_ ? amplifier_->amplified_candidates() : 0;
-  }
-  [[nodiscard]] std::uint64_t amplified_uniques() const {
-    return amplifier_ ? amplifier_->amplified_uniques() : 0;
-  }
-  [[nodiscard]] double amplify_ms() const {
-    return amplifier_ ? amplifier_->amplify_ms() : 0.0;
+  /// The session's counters over its lifetime.
+  [[nodiscard]] LoopCounters counters() const {
+    LoopCounters counters = counters_;
+    counters.engine_memory_bytes = engine_.memory_bytes();
+    counters.rows_validated = harvester_.rows_validated();
+    counters.harvest_ms = harvester_.harvest_ms();
+    if (amplifier_) {
+      counters.amplified_candidates = amplifier_->amplified_candidates();
+      counters.amplified_uniques = amplifier_->amplified_uniques();
+      counters.amplify_ms = amplifier_->amplify_ms();
+    }
+    counters.weighted_inputs = engine_.n_weighted_inputs();
+    return counters;
   }
 
  private:
@@ -342,19 +349,21 @@ class RoundRunner {
     if (diversity != 0) restarts_diversity.add(diversity);
   }
 
-  const GdLoopConfig& config_;
-  prob::Engine& engine_;
-  Harvester<Bank>& harvester_;
+  GdProblem problem_;
+  RunOptions options_;
+  GdLoopConfig config_;
+  RunResult result_;
+  prob::Engine engine_;
+  Harvester<Bank> harvester_;
   std::optional<Amplifier<Bank>> amplifier_;
   std::optional<detail::PlateauTracker> plateau_;
   std::vector<std::uint64_t> packed_;
   /// Diversity rows whose banked neighborhood exhausted the proposal tries;
   /// they take a plain re-seed instead (see restart_diversity_rows).
   std::vector<std::uint64_t> fallback_mask_;
-  std::uint64_t restarted_rows_ = 0;
-  std::uint64_t plateau_restarted_rows_ = 0;
-  std::uint64_t diversity_restarted_rows_ = 0;
-  std::uint64_t gd_iterations_ = 0;
+  /// Counts the runner keeps itself (rounds, iterations, restarts); the
+  /// rest of counters() is read from the engine, harvester and amplifier.
+  LoopCounters counters_;
 };
 
 }  // namespace hts::sampler

@@ -35,9 +35,9 @@ inline constexpr const char* kSlice = "slice";              // worker slice body
 
 /// Engine tuning defaults for service jobs.  Identical to the stand-alone
 /// GradientSampler defaults except the kernel policy: a service worker runs
-/// many jobs concurrently, so each engine keeps its kernels on its own
-/// worker thread (kSerial) instead of fanning every tile out to the global
-/// pool — concurrent requests are the parallelism axis, and stacking
+/// many jobs concurrently, so each job keeps its kernels and its harvest on
+/// its own worker thread (kSerial) instead of fanning every tile out to the
+/// global pool — concurrent requests are the parallelism axis, and stacking
 /// data-parallel dispatch on top of a loaded fleet only adds queue
 /// contention.  Override config.policy per request to compose deliberately.
 [[nodiscard]] inline sampler::GradientConfig default_job_config() {
@@ -192,23 +192,14 @@ struct ErrorInfo {
 };
 
 /// Per-request accounting, final once the job is terminal (wait() first).
-/// Snapshots taken earlier are consistent but mid-flight.
-struct JobStats {
+/// Snapshots taken earlier are consistent but mid-flight.  The loop
+/// counters are the job's session's (see sampler::LoopCounters), except
+/// `rounds`, which counts claimed rounds: a round a retry re-runs counts
+/// once.  harvest_ms and amplify_ms are already included in exec_ms, split
+/// out from the same clock.
+struct JobStats : sampler::LoopCounters {
   std::size_t n_unique = 0;        // banked unique solutions
   std::size_t delivered = 0;       // assignments handed to the sink
-  std::uint64_t rounds = 0;        // GD rounds fully or partially executed
-  std::uint64_t gd_iterations = 0; // engine sweeps across all rounds
-  std::uint64_t rows_validated = 0;
-  /// Flip-mutant rows validated by the amplifier and the unique solutions
-  /// among them (zero unless config.amplify.enabled).
-  std::uint64_t amplified_candidates = 0;
-  std::uint64_t amplified_uniques = 0;
-  /// Rows re-seeded by the diversity objective (zero unless
-  /// config.diversity_restart with an active sampling set).
-  std::uint64_t diversity_restarted_rows = 0;
-  /// Engine inputs carrying a literal-weight bias (zero when
-  /// config.lit_weights is empty or nothing resolved onto an input).
-  std::size_t weighted_inputs = 0;
   double queue_wait_ms = 0.0;      // total time spent waiting for a worker
   double exec_ms = 0.0;            // total time holding a worker
   /// Build cost of this job's plan — nonzero only on the one request that
@@ -219,11 +210,6 @@ struct JobStats {
   /// Time blocked on the plan cache without compiling: an in-flight build
   /// by another request, or the (cheap) fingerprint + lookup on a hit.
   double cache_wait_ms = 0.0;
-  /// Harvest/validation time inside this job's slices (phase-1 eval +
-  /// word-parallel accept), and amplifier wave time; both already included
-  /// in exec_ms, split out here from the same clock.
-  double harvest_ms = 0.0;
-  double amplify_ms = 0.0;
   double wall_ms = 0.0;            // submission -> terminal
   bool plan_cache_hit = false;     // plan reused (possibly after waiting on
                                    // another request's in-flight compile)

@@ -10,10 +10,8 @@
 #include <thread>
 #include <utility>
 
-#include "core/harvester.hpp"
 #include "core/round_runner.hpp"
 #include "core/unique_bank.hpp"
-#include "prob/engine.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/mutex.hpp"
@@ -84,10 +82,25 @@ const char* intern_site(const std::string& site) {
 
 namespace detail {
 
+/// A job's unique bank and the round runner that fills it, built as one
+/// unit: nothing is banked before the runner exists, so a build that throws
+/// leaves nothing to keep and a retry simply builds both again.
+struct Session {
+  Session(const CompiledPlan& plan, sampler::GdProblem problem,
+          const cnf::Formula& formula, sampler::RunOptions options,
+          const sampler::GdLoopConfig& config)
+      : bank(sampler::bank_key_bits(problem, config)),
+        runner(*plan.compiled, *plan.eval_plan, std::move(problem), formula,
+               std::move(options), config, bank) {}
+
+  sampler::ShardedUniqueBank bank;
+  sampler::RoundRunner<sampler::ShardedUniqueBank> runner;
+};
+
 /// One submitted request's full lifetime: scheduler bookkeeping, the lazily
-/// built execution state (plan, engine, bank, harvester, runner — created
-/// on the job's first slice, released at finalize so terminal jobs hold no
-/// engine memory), and the cross-thread stats clients poll.
+/// built execution state (plan and session — created on the job's first
+/// slice, released at finalize so terminal jobs hold no engine memory), and
+/// the cross-thread stats clients poll.
 ///
 /// Concurrency contract: the execution-state block is touched only by the
 /// worker currently holding the job (jobs are in exactly one of ready_/
@@ -116,15 +129,8 @@ struct Job {
   std::atomic<JobStatus> status{JobStatus::kQueued};
 
   // ---- execution state (worker-held; see contract above) ----
-  sampler::GdLoopConfig loop_config;
-  sampler::RunOptions run_options;
-  sampler::GdProblem gd_problem;
   std::shared_ptr<const CompiledPlan> plan;
-  std::unique_ptr<sampler::ShardedUniqueBank> bank;
-  std::unique_ptr<prob::Engine> engine;
-  sampler::RunResult result;
-  std::unique_ptr<sampler::Harvester<sampler::ShardedUniqueBank>> harvester;
-  std::unique_ptr<sampler::RoundRunner<sampler::ShardedUniqueBank>> runner;
+  std::unique_ptr<Session> session;
   /// Rounds claimed so far; round r seeds util::Rng::stream(seed, r).
   /// Rolled back when a round throws mid-flight, so a retry re-runs the
   /// faulted round with the same RNG stream (bank dedup keeps delivery
@@ -177,6 +183,18 @@ struct Job {
   void cancel() {
     user_cancelled.store(true, std::memory_order_relaxed);
     abort.request_stop();
+  }
+
+  /// Copies the session's counters (when it exists) into stats.  `rounds`
+  /// stays the count of claimed rounds: a retried round runs twice but is
+  /// claimed once.
+  void publish_counters() HTS_REQUIRES(mutex) {
+    if (session != nullptr) {
+      stats.n_unique = session->bank.size();
+      static_cast<sampler::LoopCounters&>(stats) = session->runner.counters();
+    }
+    stats.rounds = rounds_started;
+    stats.delivered = stream->delivered();
   }
 };
 
@@ -345,9 +363,13 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
     return false;
   };
 
-  // A request the engine cannot run is malformed, not infeasible: reject it
-  // here rather than let the engine's batch invariant abort the process.
+  // A request the loop cannot run is malformed, not infeasible: reject it
+  // here rather than let the engine's batch invariant abort the process or
+  // a negative iteration count size the round's buffers.
   if (request.config.batch == 0) return reject("config.batch must be > 0");
+  if (request.config.iterations < 0) {
+    return reject("config.iterations must be >= 0");
+  }
 
   // Quotas next — they hold regardless of the feasibility switch.
   if (admission.max_client_jobs != 0 || admission.max_client_bank_bytes != 0) {
@@ -690,10 +712,9 @@ JobStatus Server::run_slice(Job& job) {
   if (job.deadline.expired()) return JobStatus::kDeadlineExpired;
   if (job.abort.stop_requested()) return JobStatus::kCancelled;
 
-  // The build phases below are individually guarded so a retried job
-  // resumes from exactly the phase that threw: whatever was already built
-  // (a compiled plan, a bank holding uniques from earlier rounds) survives
-  // the unwind and is not rebuilt.
+  // A retry keeps whatever was built: the plan, and the session (built as
+  // one unit, see Session) with the uniques its bank holds from earlier
+  // rounds.
   if (job.plan == nullptr) {
     // First slice: pull the compiled artifacts from the cache (or compile
     // them, once per distinct formula/options).
@@ -735,84 +756,68 @@ JobStatus Server::run_slice(Job& job) {
     if (job.plan->transformed.proven_unsat) return JobStatus::kUnsat;
   }
 
-  if (job.runner == nullptr) {
+  if (job.session == nullptr) {
     // Build the job's private execution state around the shared plan.
     job.fail_site = fault_sites::kEngineAlloc;
     injector_.maybe_fault(fault_sites::kEngineAlloc);
-    if (job.bank == nullptr) {
-      job.loop_config = sampler::make_gd_loop_config(request.config);
-      job.run_options.min_solutions = request.target_uniques;
-      job.run_options.budget_ms = request.deadline_ms;
-      job.run_options.seed = request.seed;
-      const bool deliver =
-          request.deliver_solutions || static_cast<bool>(request.on_solution);
-      job.run_options.store_limit =
-          deliver ? std::numeric_limits<std::size_t>::max() : 0;
-      job.run_options.stop = job.abort.token();
-      job.gd_problem.circuit = &job.plan->transformed.circuit;
-      job.gd_problem.var_signal = &job.plan->transformed.var_signal;
-      job.gd_problem.input_vars = &job.plan->transformed.input_vars;
-      // Sampling set (amplifier flip support + projected dedup): an
-      // explicit per-request set wins, else the formula's own 'c ind'
-      // declaration.  The problem owns a normalized copy — request sets
-      // are caller-supplied and unvalidated, and ownership (rather than a
-      // pointer into the request) means job moves and retry replay can
-      // never dangle.
-      if (!request.sampling_set.empty()) {
-        job.gd_problem.sampling_set = sampler::normalize_sampling_set(
-            request.sampling_set, job.gd_problem.var_signal->size());
-      } else if (request.formula.has_sampling_set()) {
-        job.gd_problem.sampling_set = request.formula.sampling_set();
-      }
-      job.bank = std::make_unique<sampler::ShardedUniqueBank>(
-          sampler::bank_key_bits(job.gd_problem, job.loop_config));
+    sampler::RunOptions options;
+    options.min_solutions = request.target_uniques;
+    options.budget_ms = request.deadline_ms;
+    options.seed = request.seed;
+    const bool deliver =
+        request.deliver_solutions || static_cast<bool>(request.on_solution);
+    options.store_limit = deliver ? std::numeric_limits<std::size_t>::max() : 0;
+    options.stop = job.abort.token();
+    sampler::GdProblem problem;
+    problem.circuit = &job.plan->transformed.circuit;
+    problem.var_signal = &job.plan->transformed.var_signal;
+    problem.input_vars = &job.plan->transformed.input_vars;
+    // Sampling set (amplifier flip support + projected dedup): an explicit
+    // per-request set wins, else the formula's own 'c ind' declaration.
+    // The problem owns a normalized copy — request sets are caller-supplied
+    // and unvalidated, and ownership (rather than a pointer into the
+    // request) means job moves and retry replay can never dangle.
+    if (!request.sampling_set.empty()) {
+      problem.sampling_set = sampler::normalize_sampling_set(
+          request.sampling_set, problem.var_signal->size());
+    } else if (request.formula.has_sampling_set()) {
+      problem.sampling_set = request.formula.sampling_set();
     }
-    if (job.engine == nullptr) {
-      job.engine = std::make_unique<prob::Engine>(
-          *job.plan->compiled,
-          sampler::engine_config_for(job.loop_config, job.gd_problem));
-    }
-    if (job.harvester == nullptr) {
-      job.harvester =
-          std::make_unique<sampler::Harvester<sampler::ShardedUniqueBank>>(
-              job.gd_problem, request.formula, job.run_options, *job.bank,
-              job.result, &*job.plan->eval_plan, /*inline_eval=*/true,
-              sampler::harvest_mode_for(job.gd_problem, job.loop_config));
-    }
-    job.runner = std::make_unique<
-        sampler::RoundRunner<sampler::ShardedUniqueBank>>(
-        job.loop_config, *job.engine, *job.harvester);
+    job.session = std::make_unique<detail::Session>(
+        *job.plan, std::move(problem), request.formula, std::move(options),
+        request.config);
   }
   job.fail_site = fault_sites::kSlice;
+  sampler::ShardedUniqueBank& bank = job.session->bank;
+  sampler::RoundRunner<sampler::ShardedUniqueBank>& runner =
+      job.session->runner;
+  std::vector<cnf::Assignment>& solutions = runner.result().solutions;
 
   auto reached_target = [&] {
-    return request.target_uniques > 0 &&
-           job.bank->size() >= request.target_uniques;
+    return request.target_uniques > 0 && bank.size() >= request.target_uniques;
   };
   auto capped = [&] {
-    return (request.max_uniques > 0 &&
-            job.bank->size() >= request.max_uniques) ||
+    return (request.max_uniques > 0 && bank.size() >= request.max_uniques) ||
            (request.max_bank_bytes > 0 &&
-            job.bank->size_bytes() >= request.max_bank_bytes);
+            bank.size_bytes() >= request.max_bank_bytes);
   };
-  // New uniques land in job.result.solutions in harvest order; hand them to
-  // the sink and update the live counters after every harvest.  On a throw
-  // mid-delivery, the already-pushed prefix is erased and the rest stays
-  // queued in job.result — a retry delivers exactly the missing suffix (the
-  // re-run round's harvest re-inserts into the bank, so nothing is appended
-  // twice).
+  // New uniques land in the runner's result().solutions in harvest order;
+  // hand them to the sink and update the live counters after every
+  // harvest.  On a throw mid-delivery, the already-pushed prefix is erased
+  // and the rest stays queued — a retry delivers exactly the missing suffix
+  // (the re-run round's harvest re-inserts into the bank, so nothing is
+  // appended twice).
   const util::StopToken abort_token = job.abort.token();
   auto checkpoint = [&](int) {
     job.fail_site = fault_sites::kHarvest;
     injector_.maybe_fault(fault_sites::kHarvest);
     job.fail_site = fault_sites::kStreamPush;
-    const bool trace_deliver =
-        telemetry::trace_enabled() && !job.result.solutions.empty();
+    const bool trace_deliver = telemetry::trace_enabled() && !solutions.empty();
     const std::uint64_t deliver_begin_ns =
         trace_deliver ? util::monotonic_ns() : 0;
     std::size_t pushed = 0;
     try {
-      for (cnf::Assignment& assignment : job.result.solutions) {
+      for (cnf::Assignment& assignment : solutions) {
         injector_.maybe_fault(fault_sites::kStreamPush);
         if (!job.stream->push(std::move(assignment), abort_token,
                               job.deadline)) {
@@ -821,9 +826,8 @@ JobStatus Server::run_slice(Job& job) {
         ++pushed;
       }
     } catch (...) {
-      job.result.solutions.erase(
-          job.result.solutions.begin(),
-          job.result.solutions.begin() + static_cast<std::ptrdiff_t>(pushed));
+      solutions.erase(solutions.begin(),
+                      solutions.begin() + static_cast<std::ptrdiff_t>(pushed));
       throw;
     }
     if (trace_deliver) {
@@ -831,22 +835,10 @@ JobStatus Server::run_slice(Job& job) {
                                               deliver_begin_ns,
                                               util::monotonic_ns());
     }
-    job.result.solutions.clear();
+    solutions.clear();
     job.fail_site = fault_sites::kSlice;
     util::LockGuard jlock(job.mutex);
-    job.stats.n_unique = job.bank->size();
-    job.stats.delivered = job.stream->delivered();
-    job.stats.rounds = job.rounds_started;
-    job.stats.gd_iterations = job.runner->gd_iterations();
-    job.stats.rows_validated = job.harvester->rows_validated();
-    job.stats.amplified_candidates = job.runner->amplified_candidates();
-    job.stats.amplified_uniques = job.runner->amplified_uniques();
-    job.stats.diversity_restarted_rows = job.runner->diversity_restarted_rows();
-    job.stats.weighted_inputs = job.engine->n_weighted_inputs();
-    // Derived views of the phase timers the harvester/amplifier keep — the
-    // same clock (util::monotonic_ns) every span uses, not a parallel one.
-    job.stats.harvest_ms = job.harvester->harvest_ms();
-    job.stats.amplify_ms = job.runner->amplify_ms();
+    job.publish_counters();
   };
   auto stop_now = [&] {
     return reached_target() || capped() || job.deadline.expired() ||
@@ -857,7 +849,7 @@ JobStatus Server::run_slice(Job& job) {
   // them, but the throw cut the push loop short) are drained before any
   // stop check — otherwise a retried job whose bank already meets the
   // target would finalize kCompleted with solutions undelivered.
-  if (!job.result.solutions.empty()) checkpoint(0);
+  if (!solutions.empty()) checkpoint(0);
 
   for (std::size_t s = 0; s < config_.rounds_per_slice; ++s) {
     // A replayed round runs to its natural end even if the bank already
@@ -872,7 +864,7 @@ JobStatus Server::run_slice(Job& job) {
     util::Rng rng = util::Rng::stream(request.seed, job.rounds_started);
     ++job.rounds_started;
     try {
-      job.runner->run_round(rng, checkpoint, stop_now);
+      runner.run_round(rng, checkpoint, stop_now);
       job.replay_round = false;
     } catch (...) {
       // Un-claim the round: a retry re-runs it with the identical RNG
@@ -903,35 +895,14 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
     util::LockGuard jlock(job->mutex);
     JobStats& stats = job->stats;
     stats.wall_ms = job->ms_at(finalize_ns);
-    stats.rounds = job->rounds_started;
-    if (job->bank) {
-      stats.n_unique = job->bank->size();
-      stats.bank_bytes = job->bank->size_bytes();
-    }
-    if (job->harvester) {
-      stats.rows_validated = job->harvester->rows_validated();
-      stats.harvest_ms = job->harvester->harvest_ms();
-    }
-    if (job->runner) {
-      stats.gd_iterations = job->runner->gd_iterations();
-      stats.amplified_candidates = job->runner->amplified_candidates();
-      stats.amplified_uniques = job->runner->amplified_uniques();
-      stats.diversity_restarted_rows = job->runner->diversity_restarted_rows();
-      stats.amplify_ms = job->runner->amplify_ms();
-    }
-    if (job->engine) stats.weighted_inputs = job->engine->n_weighted_inputs();
-    stats.delivered = job->stream->delivered();
+    job->publish_counters();
+    if (job->session) stats.bank_bytes = job->session->bank.size_bytes();
     exec_ms = stats.exec_ms;
   }
-  // Release the execution state in dependency order (runner borrows
-  // engine+harvester; harvester borrows bank/options/problem): a terminal
+  // Release the execution state (the session borrows the plan): a terminal
   // job reachable through lingering handles must not pin engine buffers or
   // the compiled plan.
-  job->runner.reset();
-  job->harvester.reset();
-  job->engine.reset();
-  job->bank.reset();
-  job->result = sampler::RunResult{};
+  job->session.reset();
   job->plan.reset();
   job->stream->close();
   // Fleet counters move before the terminal status is visible, so a client

@@ -136,6 +136,21 @@ TEST(Dimacs, ErrorOnMissingHeader) {
 
 TEST(Dimacs, ErrorOnLiteralBeyondHeader) {
   EXPECT_THROW((void)parse_dimacs_string("p cnf 2 1\n3 0\n"), DimacsError);
+  // The range check must not negate the literal: -LLONG_MIN overflows.
+  EXPECT_THROW(
+      (void)parse_dimacs_string("p cnf 3 1\n-9223372036854775808 0\n"),
+      DimacsError);
+}
+
+TEST(Dimacs, ErrorOnVariableCountPastTheLiteralRange) {
+  // Lit packs 2 * var + sign into 32 bits: a header past INT32_MAX
+  // variables must be rejected, not narrowed onto other variables.
+  EXPECT_THROW((void)parse_dimacs_string("p cnf 5000000000 1\n1 0\n"),
+               DimacsError);
+  EXPECT_THROW((void)parse_dimacs_string("p cnf 3000000000 1\n3000000000 0\n"),
+               DimacsError);
+  EXPECT_THROW((void)parse_dimacs_string("p cnf 5000000000 1\n1000000000 0\n"),
+               DimacsError);
 }
 
 TEST(Dimacs, ErrorOnUnterminatedClause) {

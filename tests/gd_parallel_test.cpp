@@ -215,6 +215,37 @@ TEST(GdParallel, WorkersClampedToMaxRounds) {
   EXPECT_EQ(parallel_extras.rounds, 1u);
 }
 
+TEST(GdParallel, WeightedInputsAreKeptAndEngineMemorySumsAcrossWorkers) {
+  // Merging worker counters must sum what scales with workers (engine
+  // memory) but keep what every engine shares (the resolved lit weights).
+  const cnf::Formula formula = small_formula();
+  const baselines::FlatProblem flat = baselines::build_flat_problem(formula);
+  GdProblem problem;
+  problem.circuit = &flat.circuit;
+  problem.var_signal = &flat.var_signal;
+
+  GdLoopConfig config;
+  config.batch = 64;
+  config.max_rounds = 4;
+  config.lit_weights = {{0, false, 1.0f}, {5, true, 0.5f}};
+  RunOptions options;
+  options.min_solutions = 0;
+  options.budget_ms = 10000.0;
+
+  GdLoopExtras serial_extras;
+  config.n_workers = 1;
+  (void)run_gd_loop(problem, formula, options, config, &serial_extras);
+
+  GdLoopExtras parallel_extras;
+  config.n_workers = 4;
+  (void)run_gd_loop(problem, formula, options, config, &parallel_extras);
+
+  EXPECT_EQ(serial_extras.weighted_inputs, 2u);
+  EXPECT_EQ(parallel_extras.weighted_inputs, serial_extras.weighted_inputs);
+  EXPECT_EQ(parallel_extras.engine_memory_bytes,
+            4 * serial_extras.engine_memory_bytes);
+}
+
 // --- solved-row restarts ----------------------------------------------------
 
 TEST(GdParallel, SolvedRowRestartsStayDeterministicAndSaturate) {

@@ -1,6 +1,7 @@
 // Cross-cutting regression cases: gate-signature corners of Algorithm 1
 // (NAND/NOR/implication blocks), partial-word masking in the GD harvester,
-// store_all_draws semantics, XOR-heavy simplification, and solver/walksat
+// store_all_draws semantics, XOR-heavy simplification, sampling streams
+// pinned by fingerprints recorded across commits, and solver/walksat
 // agreement on benchmark-family instances.
 
 #include <gtest/gtest.h>
@@ -11,8 +12,11 @@
 #include "benchgen/suite.hpp"
 #include "circuit/tseitin.hpp"
 #include "cnf/dimacs.hpp"
+#include "baselines/diff_sampler.hpp"
+#include "core/circuit_sampler.hpp"
 #include "core/gradient_sampler.hpp"
 #include "expr/expr.hpp"
+#include "service/server.hpp"
 #include "solver/brute.hpp"
 #include "solver/cdcl.hpp"
 #include "solver/walksat.hpp"
@@ -225,6 +229,189 @@ TEST(GoldenDeterminism, RepeatedRunsReproduceExactly) {
   EXPECT_EQ(ra.n_unique, rb.n_unique);
   EXPECT_EQ(ra.n_valid, rb.n_valid);
   ASSERT_EQ(ra.solutions, rb.solutions);
+}
+
+// --- stream fingerprints pinned across commits ------------------------------------
+//
+// The golden tests above compare policies and repeated runs within one
+// build, so a change that moves every stream alike passes them.  These pin
+// the streams themselves: each constant is an FNV-1a hash of (n_unique,
+// n_valid, stored stream) recorded from an earlier commit, so a change to
+// any RNG draw, harvest order or stop point changes a hash.  Every run
+// stops on max_rounds or a unique target, never on a deadline, so no hash
+// depends on machine speed.  Re-record a hash only for a deliberate stream
+// change; a compiler or build type that disagrees is a bug to report.
+
+std::uint64_t stream_fingerprint(std::uint64_t n_unique, std::uint64_t n_valid,
+                                 const std::vector<cnf::Assignment>& stream) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix_byte = [&hash](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  auto mix_word = [&mix_byte](std::uint64_t word) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      mix_byte(static_cast<std::uint8_t>(word >> shift));
+    }
+  };
+  mix_word(n_unique);
+  mix_word(n_valid);
+  mix_word(stream.size());
+  for (const cnf::Assignment& assignment : stream) {
+    mix_word(assignment.size());
+    for (const std::uint8_t bit : assignment) mix_byte(bit);
+  }
+  return hash;
+}
+
+std::uint64_t stream_fingerprint(const sampler::RunResult& result) {
+  return stream_fingerprint(result.n_unique, result.n_valid, result.solutions);
+}
+
+/// No deadline: only max_rounds or `target` uniques may stop a run.
+sampler::RunOptions fingerprint_options(std::size_t target = 0) {
+  sampler::RunOptions options;
+  options.min_solutions = target;
+  options.budget_ms = -1.0;
+  options.store_limit = 1 << 20;
+  options.verify_against_cnf = true;
+  options.seed = 0x90dd;
+  return options;
+}
+
+benchgen::Instance fingerprint_instance(const char* name) {
+  benchgen::GenOptions gen;
+  gen.scale = 0.05;
+  return benchgen::make_instance(name, gen);
+}
+
+sampler::GradientConfig fingerprint_config() {
+  sampler::GradientConfig config;
+  config.batch = 256;
+  config.max_rounds = 2;
+  return config;
+}
+
+TEST(GoldenFingerprint, GradientSamplerSerialAndTiles) {
+  const struct {
+    const char* name;
+    std::uint64_t expected;
+  } kCases[] = {{"or-50-10-7-UC-10", 0xd0fc855d317a7509ULL},
+                {"75-10-1-q", 0xc2c2a557bf7e88a4ULL}};
+  for (const auto& c : kCases) {
+    const benchgen::Instance instance = fingerprint_instance(c.name);
+    for (const tensor::Policy policy :
+         {tensor::Policy::kSerial, tensor::Policy::kDataParallel}) {
+      sampler::GradientConfig config = fingerprint_config();
+      config.policy = policy;
+      sampler::GradientSampler sampler(config);
+      const sampler::RunResult result =
+          sampler.run(instance.formula, fingerprint_options());
+      EXPECT_EQ(result.n_invalid, 0u) << c.name;
+      EXPECT_EQ(stream_fingerprint(result), c.expected)
+          << c.name << " policy " << tensor::policy_name(policy);
+    }
+  }
+}
+
+TEST(GoldenFingerprint, GradientSamplerAmplifiedWithPlateauRestarts) {
+  const benchgen::Instance instance = fingerprint_instance("s15850a_3_2");
+  sampler::GradientConfig config = fingerprint_config();
+  config.batch = 128;
+  config.learning_rate = 40.0f;  // overshoots enough for some rows to stall
+  config.amplify.enabled = true;
+  config.amplify.max_bases_per_collect = 8;
+  config.restart_plateau = 2;
+  sampler::GradientSampler sampler(config);
+  const sampler::RunResult result =
+      sampler.run(instance.formula, fingerprint_options());
+  EXPECT_EQ(result.n_invalid, 0u);
+  EXPECT_GT(sampler.extras().amplified_uniques, 0u);
+  EXPECT_GT(sampler.extras().plateau_restarted_rows, 0u);
+  EXPECT_EQ(stream_fingerprint(result), 0x2a40329768e30a8aULL);
+}
+
+TEST(GoldenFingerprint, GradientSamplerProjectedDiversityWeighted) {
+  benchgen::Instance instance = fingerprint_instance("75-10-1-q");
+  std::vector<cnf::Var> set;
+  for (cnf::Var v = 0; v < 12; ++v) set.push_back(v);
+  instance.formula.set_sampling_set(set);  // what a 'c ind 1 .. 12' line sets
+  sampler::GradientConfig config = fingerprint_config();
+  config.max_rounds = 3;
+  config.diversity_restart = true;
+  config.lit_weights = {{0, false, 0.5f}, {3, true, 1.0f}};
+  sampler::GradientSampler sampler(config);
+  const sampler::RunResult result =
+      sampler.run(instance.formula, fingerprint_options());
+  EXPECT_EQ(result.n_invalid, 0u);
+  EXPECT_GT(sampler.extras().weighted_inputs, 0u);
+  EXPECT_GT(sampler.extras().diversity_restarted_rows, 0u);
+  EXPECT_EQ(stream_fingerprint(result), 0x828cb568a106734ULL);
+}
+
+TEST(GoldenFingerprint, CircuitSampler) {
+  const benchgen::Instance instance = fingerprint_instance("75-10-1-q");
+  const transform::Result transformed = transform::transform_cnf(instance.formula);
+  sampler::CircuitSamplerConfig config;
+  config.batch = 256;
+  config.max_rounds = 2;
+  sampler::CircuitSampler sampler(transformed.circuit, config);
+  const sampler::RunResult result = sampler.run(fingerprint_options());
+  EXPECT_GT(result.n_unique, 0u);
+  EXPECT_EQ(stream_fingerprint(result), 0xc130e9fd3f031d83ULL);
+}
+
+TEST(GoldenFingerprint, DiffSampler) {
+  // DiffSamplerConfig had no round limit when this hash was recorded, so a
+  // unique target stops the run.
+  const benchgen::Instance instance = fingerprint_instance("or-50-10-7-UC-10");
+  baselines::DiffSamplerConfig config;
+  config.batch = 256;
+  baselines::DiffSampler sampler(config);
+  const sampler::RunResult result =
+      sampler.run(instance.formula, fingerprint_options(10));
+  EXPECT_GE(result.n_unique, 10u);
+  EXPECT_EQ(result.n_invalid, 0u);
+  EXPECT_EQ(stream_fingerprint(result), 0xad8c9245e3be32faULL);
+}
+
+TEST(GoldenFingerprint, ServiceJobs) {
+  // Service jobs hash (n_unique, rows_validated, delivered stream): JobStats
+  // has no n_valid.  Each job stops on its unique target.
+  const benchgen::Instance instance = fingerprint_instance("or-50-10-7-UC-10");
+  service::Server server({.n_workers = 2});
+  auto request = [&] {
+    service::SamplingRequest r;
+    r.formula = instance.formula;
+    r.seed = 0x90dd;
+    r.target_uniques = 40;
+    r.config.batch = 128;
+    return r;
+  };
+  service::SamplingRequest plain = request();
+  service::SamplingRequest projected = request();
+  for (cnf::Var v = 0; v < 10; ++v) projected.sampling_set.push_back(v);
+  projected.target_uniques = 20;
+  service::SamplingRequest amplified = request();
+  amplified.config.amplify.enabled = true;
+  const struct {
+    const char* what;
+    service::SamplingRequest request;
+    std::uint64_t expected;
+  } kCases[] = {{"plain", plain, 0x4b28d9aee6c8c90dULL},
+                {"projected", projected, 0x341a3bd48b333f26ULL},
+                {"amplified", amplified, 0x722f58b154c5840eULL}};
+  for (const auto& c : kCases) {
+    const service::JobHandle handle = server.submit(c.request);
+    EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted) << c.what;
+    std::vector<cnf::Assignment> stream;
+    cnf::Assignment assignment;
+    while (handle.stream().next(assignment)) stream.push_back(assignment);
+    const service::JobStats stats = handle.stats();
+    EXPECT_EQ(stream_fingerprint(stats.n_unique, stats.rows_validated, stream),
+              c.expected)
+        << c.what;
+  }
 }
 
 // --- solver agreement on benchmark-family instances --------------------------------

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/diff_sampler.hpp"
 #include "bdd/builder.hpp"
 #include "core/gradient_sampler.hpp"
@@ -158,6 +160,19 @@ TEST(GradientSampler, HandlesUnsat) {
   EXPECT_EQ(result.n_unique, 0u);
   // Either recognized during transformation or simply yields nothing.
   EXPECT_TRUE(result.proven_unsat || result.timed_out);
+}
+
+TEST(GradientSampler, NegativeIterationsAreRejected) {
+  // iterations + 1 sizes the per-iteration curve: -1 would leave it empty
+  // and -2 would ask for SIZE_MAX slots, so both throw before any build.
+  const cnf::Formula f = small_formula();
+  for (const int iterations : {-1, -2}) {
+    GradientConfig config = small_config();
+    config.iterations = iterations;
+    GradientSampler sampler(config);
+    EXPECT_THROW((void)sampler.run(f, fast_options()), std::invalid_argument)
+        << "iterations = " << iterations;
+  }
 }
 
 TEST(GradientSampler, RespectsDeadline) {

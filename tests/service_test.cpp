@@ -145,6 +145,10 @@ TEST(ServiceServer, ShutdownCancelsOutstandingJobs) {
 // --- determinism -------------------------------------------------------------
 
 TEST(ServiceServer, SolutionStreamIsDeterministicAcrossFleetSizes) {
+  struct Run {
+    std::vector<cnf::Assignment> solutions;
+    JobStats stats;
+  };
   auto run_once = [](std::size_t n_workers, bool with_decoys) {
     Server server({.n_workers = n_workers});
     std::vector<JobHandle> decoys;
@@ -156,16 +160,31 @@ TEST(ServiceServer, SolutionStreamIsDeterministicAcrossFleetSizes) {
     }
     JobHandle handle = server.submit(small_request(formula_a(), 30, 99));
     EXPECT_EQ(handle.wait(), JobStatus::kCompleted);
-    std::vector<cnf::Assignment> solutions = collect_stream(handle);
+    Run run{collect_stream(handle), handle.stats()};
     for (const JobHandle& decoy : decoys) decoy.wait();
-    return solutions;
+    return run;
   };
 
-  const std::vector<cnf::Assignment> solo = run_once(1, false);
-  const std::vector<cnf::Assignment> fleet = run_once(4, true);
+  const Run solo = run_once(1, false);
+  const Run fleet = run_once(4, true);
   // Not just the same set: the same assignments in the same order.
-  EXPECT_EQ(solo, fleet);
-  EXPECT_GE(solo.size(), 30u);
+  EXPECT_EQ(solo.solutions, fleet.solutions);
+  EXPECT_GE(solo.solutions.size(), 30u);
+  // The work behind the stream is the same too: every loop counter except
+  // the wall-clock timers.
+  const sampler::LoopCounters& a = solo.stats;
+  const sampler::LoopCounters& b = fleet.stats;
+  EXPECT_GT(a.rounds, 0u);
+  EXPECT_EQ(a.engine_memory_bytes, b.engine_memory_bytes);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.restarted_rows, b.restarted_rows);
+  EXPECT_EQ(a.plateau_restarted_rows, b.plateau_restarted_rows);
+  EXPECT_EQ(a.gd_iterations, b.gd_iterations);
+  EXPECT_EQ(a.rows_validated, b.rows_validated);
+  EXPECT_EQ(a.amplified_candidates, b.amplified_candidates);
+  EXPECT_EQ(a.amplified_uniques, b.amplified_uniques);
+  EXPECT_EQ(a.diversity_restarted_rows, b.diversity_restarted_rows);
+  EXPECT_EQ(a.weighted_inputs, b.weighted_inputs);
 }
 
 // --- multi-client stress -----------------------------------------------------
@@ -499,17 +518,30 @@ TEST(ServiceAdmission, InfeasibleDeadlineIsRejectedAtSubmitWithoutCompiling) {
 }
 
 TEST(ServiceAdmission, ZeroBatchIsRejectedAtSubmitAndSparesItsNeighbor) {
-  Server server({.n_workers = 2});
-  SamplingRequest bad = small_request(formula_a());
-  bad.config.batch = 0;
-  const JobHandle rejected = server.submit(std::move(bad));
-  const JobHandle neighbor = server.submit(small_request(formula_b(), 10));
-  EXPECT_EQ(rejected.status(), JobStatus::kRejected);  // terminal within submit()
-  EXPECT_EQ(rejected.error().category, ErrorCategory::kAdmission);
-  EXPECT_NE(rejected.error().message.find("batch"), std::string::npos);
-  EXPECT_EQ(rejected.stats().compile_ms, 0.0);
-  EXPECT_EQ(neighbor.wait(), JobStatus::kCompleted);
-  EXPECT_EQ(server.stats().rejected, 1u);
+  // Each malformed config is rejected at submit, named in the message, and
+  // leaves a well-formed neighbor untouched.
+  SamplingRequest zero_batch = small_request(formula_a());
+  zero_batch.config.batch = 0;
+  SamplingRequest negative_iterations = small_request(formula_a());
+  negative_iterations.config.iterations = -1;
+  const struct {
+    SamplingRequest request;
+    const char* field;
+  } kMalformed[] = {{zero_batch, "batch"}, {negative_iterations, "iterations"}};
+  for (const auto& malformed : kMalformed) {
+    Server server({.n_workers = 2});
+    const JobHandle rejected = server.submit(malformed.request);
+    const JobHandle neighbor = server.submit(small_request(formula_b(), 10));
+    EXPECT_EQ(rejected.status(), JobStatus::kRejected)  // terminal within submit()
+        << malformed.field;
+    EXPECT_EQ(rejected.error().category, ErrorCategory::kAdmission)
+        << malformed.field;
+    EXPECT_NE(rejected.error().message.find(malformed.field), std::string::npos)
+        << rejected.error().message;
+    EXPECT_EQ(rejected.stats().compile_ms, 0.0) << malformed.field;
+    EXPECT_EQ(neighbor.wait(), JobStatus::kCompleted) << malformed.field;
+    EXPECT_EQ(server.stats().rejected, 1u) << malformed.field;
+  }
 }
 
 TEST(ServiceAdmission, FeasibleDeadlineIsAcceptedAndServed) {
