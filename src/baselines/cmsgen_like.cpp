@@ -20,19 +20,18 @@ sampler::RunResult CmsGenLike::run(const cnf::Formula& formula,
   result.setup_ms = setup_timer.milliseconds();
 
   util::Rng rng(options.seed ^ 0xc35e6e5aULL);
-  util::Deadline deadline(options.budget_ms);
+  const util::StopToken stop = options.stop.with_budget(options.budget_ms);
   util::Timer timer;
   sampler::UniqueBank bank(formula.n_vars());
 
-  std::size_t since_reshuffle = 0;
-  while (!deadline.expired()) {
+  while (!stop.stop_requested()) {
     if (options.min_solutions > 0 && bank.size() >= options.min_solutions) break;
-    const solver::Status status = solver.solve({}, &deadline);
+    const solver::Status status = solver.solve({}, stop);
     if (status == solver::Status::kUnsat) {
       result.proven_unsat = bank.size() == 0 && result.n_valid == 0;
       break;
     }
-    if (status == solver::Status::kUnknown) break;  // deadline hit mid-search
+    if (status == solver::Status::kUnknown) break;  // stopped mid-search
     const cnf::Assignment& model = solver.model();
     ++result.n_valid;
     if (options.verify_against_cnf && !formula.satisfied_by(model)) {
@@ -50,7 +49,6 @@ sampler::RunResult CmsGenLike::run(const cnf::Formula& formula,
     }
     // Restart-with-fresh-randomization after every solution is what turns
     // the solver into a (non-uniform but diverse) sampler.
-    if (++since_reshuffle >= config_.reshuffle_period) since_reshuffle = 0;
     solver.reshuffle(rng.next_u64());
   }
 

@@ -13,8 +13,6 @@ namespace hts::baselines {
 struct CmsGenConfig {
   /// Fraction of branching decisions taken at random.
   double random_decision_freq = 0.15;
-  /// Reshuffle activities/phases every this many solutions (diversity).
-  std::size_t reshuffle_period = 32;
 };
 
 class CmsGenLike : public sampler::Sampler {

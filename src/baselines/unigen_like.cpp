@@ -60,7 +60,7 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
   result.sampler_name = name();
 
   util::Rng rng(options.seed ^ 0x0169e40fULL);
-  util::Deadline deadline(options.budget_ms);
+  const util::StopToken stop = options.stop.with_budget(options.budget_ms);
   util::Timer timer;
   sampler::UniqueBank bank(formula.n_vars());
 
@@ -76,7 +76,7 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
   std::size_t empty_above = formula.n_vars() + 1;     // smallest m seen empty
   bool any_sat_seen = false;
 
-  while (!deadline.expired()) {
+  while (!stop.stop_requested()) {
     if (options.min_solutions > 0 && bank.size() >= options.min_solutions) break;
 
     // Build the hashed formula for this round.
@@ -97,7 +97,7 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
     bool overflow = false;
     bool interrupted = false;
     for (;;) {
-      const solver::Status status = solver.solve({}, &deadline);
+      const solver::Status status = solver.solve({}, stop);
       if (status == solver::Status::kUnknown) {
         interrupted = true;
         break;
@@ -118,9 +118,10 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
       // Salvage what was found before the interruption.  Partial cells are
       // search-order-biased, so like overflow cells below they are banked
       // for the unique count but kept out of the emitted `solutions` stream
-      // — except at deadline expiry, where nothing further will be emitted
-      // anyway and the salvage is the run's last word (legacy behaviour).
-      const bool emit = deadline.expired();
+      // — except when the run was stopped (budget or cancel), where nothing
+      // further will be emitted anyway and the salvage is the run's last
+      // word (legacy behaviour).
+      const bool emit = stop.stop_requested();
       for (const cnf::Assignment& model : cell) {
         ++result.n_valid;
         if (bank.insert_bits(model) && emit &&
@@ -129,7 +130,7 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
         }
       }
       if (!emit) {
-        // kUnknown without an expired deadline means the per-cell conflict
+        // kUnknown without a stop means the per-cell conflict
         // budget ran out: this m's XOR-hashed formula is too hard for plain
         // CDCL.  Retrying the same m would loop forever on the same wall;
         // bisect back toward the largest m known to overflow, where cells

@@ -16,14 +16,14 @@ sampler::RunResult WalkSatSampler::run(const cnf::Formula& formula,
   ws_config.seed = options.seed ^ 0x3a1c5ULL;
   solver::WalkSat walksat(formula, ws_config);
 
-  util::Deadline deadline(options.budget_ms);
+  const util::StopToken stop = options.stop.with_budget(options.budget_ms);
   util::Timer timer;
   sampler::UniqueBank bank(formula.n_vars());
 
-  while (!deadline.expired()) {
+  while (!stop.stop_requested()) {
     if (options.min_solutions > 0 && bank.size() >= options.min_solutions) break;
-    const auto model = walksat.search(&deadline);
-    if (!model.has_value()) continue;  // restart exhausted its flip budget
+    const auto model = walksat.search(stop);
+    if (!model.has_value()) continue;  // flip budget exhausted, or stopped
     ++result.n_valid;
     if (options.verify_against_cnf && !formula.satisfied_by(*model)) {
       ++result.n_invalid;

@@ -104,7 +104,9 @@ class Amplifier {
 
   /// Amplifies every base banked since the previous call (subject to
   /// AmplifyConfig::max_bases_per_collect) and clears the base buffer.
-  /// Call once per harvest, right after Harvester::collect().
+  /// Polls the stop token before every base; the rest of the batch is
+  /// dropped once it fires.  Call once per harvest, right after
+  /// Harvester::collect().
   void amplify() {
     const util::Timer timer;
     const std::size_t n_bases = bases_.size() / key_words_;
@@ -201,7 +203,6 @@ class Amplifier {
       packed_.resize(n_inputs * kChunkWords);
     }
     for (std::size_t begin = 0; begin < n_mutants; begin += kChunkRows) {
-      if (harvester_.options().stop.stop_requested()) return;
       const std::size_t count = std::min(kChunkRows, n_mutants - begin);
       const std::size_t n_words = (count + 63) / 64;
       // Broadcast the base row into every lane, then toggle the flipped

@@ -25,9 +25,9 @@ namespace {
 /// same bank insertion order, same progress checkpoints).  More workers
 /// each draw from a decorrelated Rng::stream(seed, w), race through rounds
 /// claimed from a shared counter (so max_rounds bounds the total) and merge
-/// uniques into one ShardedUniqueBank; the target / deadline / cancellation
-/// checks read the *global* state, so workers stop as soon as the fleet
-/// collectively reaches the goal.  The round body itself lives in
+/// uniques into one ShardedUniqueBank; the target and stop-token checks read
+/// the *global* state, so workers stop as soon as the fleet collectively
+/// reaches the goal.  The round body itself lives in
 /// RoundRunner; this function owns the across-round policy: when to start
 /// another round and what a checkpoint records.
 template <typename Bank>
@@ -38,9 +38,9 @@ RunResult run_workers(const prob::CompiledCircuit& compiled,
                       std::size_t n_workers, GdLoopExtras* extras) {
   Bank bank(bank_key_bits(problem, config));
   // Every runner, engine buffers included, is built before the clock
-  // starts: allocation for a large instance can cost more than a tight
-  // budget, and a worker that woke up already expired would contribute
-  // nothing.
+  // starts (and before the budget is added to the token they poll):
+  // allocation for a large instance can cost more than a tight budget, and
+  // a worker that woke up already expired would contribute nothing.
   std::vector<std::unique_ptr<RoundRunner<Bank>>> runners;
   runners.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
@@ -57,12 +57,18 @@ RunResult run_workers(const prob::CompiledCircuit& compiled,
   // merge below reads them only after join(), which carries the
   // happens-before edge.  The bank serializes internally per shard (one
   // worker needs no locking), `stop`/`next_round` are atomics, and
-  // everything else the workers touch (compiled plans, options, deadline)
-  // is read-only for the whole run.
+  // everything else the workers touch (compiled plans, options, the stop
+  // token) is read-only for the whole run.
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> next_round{0};
-  util::Deadline deadline(options.budget_ms);
-  util::Timer timer;
+  // The sampling clock starts here.  The caller's token plus the budget is
+  // the one stop signal the round loop, every harvest block and every
+  // amplifier base polls.
+  const util::Timer timer;
+  const util::StopToken stop_token = options.stop.with_budget(options.budget_ms);
+  for (const std::unique_ptr<RoundRunner<Bank>>& runner : runners) {
+    runner->set_stop(stop_token);
+  }
 
   auto reached_target = [&] {
     return options.min_solutions > 0 && bank.size() >= options.min_solutions;
@@ -82,8 +88,7 @@ RunResult run_workers(const prob::CompiledCircuit& compiled,
       }
     };
     auto stop_now = [&] {
-      if (reached_target() || deadline.expired() ||
-          options.stop.stop_requested()) {
+      if (reached_target() || stop_token.stop_requested()) {
         stop.store(true, std::memory_order_relaxed);
         return true;
       }

@@ -225,9 +225,13 @@ struct GdLoopExtras : LoopCounters {
 }
 
 /// Runs rounds of randomize -> iterate -> harden -> verify -> bank until
-/// options.min_solutions unique solutions are collected, the deadline
-/// expires, or options.stop requests cancellation (polled at round and
-/// iteration boundaries; partial results are returned cleanly).  `formula`
+/// options.min_solutions unique solutions are collected, config.max_rounds
+/// rounds ran, or the stop token fires.  That token is options.stop plus
+/// options.budget_ms, counted from when sampling starts: after every engine
+/// is built, so allocation stays outside the budget.  It is polled at
+/// round and iteration boundaries, at every harvest block and at every
+/// amplifier base, so a budget or cancel ends the run within one step that
+/// cannot be interrupted, with partial results returned cleanly.  `formula`
 /// is only consulted for RunOptions::verify_against_cnf.  Throws
 /// std::invalid_argument, before building anything, when
 /// config.iterations < 0.

@@ -32,6 +32,7 @@
 // bank needs for genuinely new solutions.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -134,11 +135,11 @@ class Harvester {
 
   /// packed: n_inputs x n_words hardened input bits covering `batch` rows.
   ///
-  /// Honours RunOptions::stop at block boundaries: a cancelled collect stops
-  /// evaluating further blocks and accepts only the rows already validated
-  /// (unevaluated words read as unsolved), so a request abort never waits
-  /// for a full batch validation.  rows_validated() is not advanced by a
-  /// cancelled collect.
+  /// Honours RunOptions::stop (cancel and deadline alike) at block
+  /// boundaries: a stopped collect evaluates no further blocks and accepts
+  /// only the rows already validated (unevaluated words read as unsolved),
+  /// so a stop never waits for a full batch validation.  rows_validated()
+  /// counts the batch exactly when every block of it was evaluated.
   void collect(const std::vector<std::uint64_t>& packed, std::size_t n_words,
                std::size_t batch) {
     if (options_.stop.stop_requested()) return;
@@ -163,16 +164,24 @@ class Harvester {
     std::size_t n_parts = std::min(n_blocks, pool.size());
     if (pool.size() <= 1 || inline_eval_) n_parts = 1;
     if (scratch_.size() < n_parts) scratch_.resize(n_parts);
+    // Cleared by any part the stop token cuts short; read after the join.
+    std::atomic<bool> evaluated{true};
     auto eval_part = [&](std::size_t part) {
       std::vector<std::uint64_t>& slots = scratch_[part];
       if (slots.size() < plan.scratch_words()) {
         slots.resize(plan.scratch_words());
       }
-      const std::size_t block_begin = n_blocks * part / n_parts;
       const std::size_t block_end = n_blocks * (part + 1) / n_parts;
-      eval_blocks(packed, n_words, batch, block_begin, block_end, slots.data(),
-                  solved_mask_.data(), proj_.data(),
-                  /*probe=*/mode_.probe_projections);
+      for (std::size_t block = n_blocks * part / n_parts; block < block_end;
+           ++block) {
+        if (options_.stop.stop_requested()) {
+          evaluated.store(false, std::memory_order_relaxed);
+          return;
+        }
+        eval_block(packed, n_words, batch, block, slots.data(),
+                   solved_mask_.data(), proj_.data(),
+                   /*probe=*/mode_.probe_projections);
+      }
     };
     if (n_parts <= 1) {
       // Inline: one scratch, no dispatch (also the no-allocation fast path
@@ -188,11 +197,12 @@ class Harvester {
     // stored-solution order match the historical single-thread walk exactly.
     accept_words(packed, n_words, n_proj, solved_mask_.data(), proj_.data(),
                  /*record_fresh=*/true);
-    if (!options_.stop.stop_requested()) rows_validated_ += batch;
+    const bool validated = evaluated.load(std::memory_order_relaxed);
+    if (validated) rows_validated_ += batch;
     harvest_ms_ += harvest_timer.milliseconds();
     // Telemetry mirrors the stats above from the same timer — reads only,
     // after the accept phase, so instrumented harvests are bit-identical.
-    if (telemetry::metrics_enabled() && !options_.stop.stop_requested()) {
+    if (telemetry::metrics_enabled() && validated) {
       telemetry::Registry& reg = telemetry::Registry::global();
       static telemetry::Counter& rows =
           reg.counter("hts_harvest_rows_validated_total");
@@ -218,13 +228,13 @@ class Harvester {
   /// / harvest_ms() are untouched (they describe GD batches — solved-row
   /// restarts and the rows/sec metric must not see mutants), and newly
   /// banked keys are not reported to the fresh sink (mutants never
-  /// recursively become amplification bases).  scratch.solved_mask holds
-  /// the per-row satisfied mask afterwards, so the caller can read which
-  /// candidates survived.
+  /// recursively become amplification bases), and the stop token is the
+  /// caller's to poll (the amplifier does, per base).  scratch.solved_mask
+  /// holds the per-row satisfied mask afterwards, so the caller can read
+  /// which candidates survived.
   std::size_t collect_candidates(const std::vector<std::uint64_t>& packed,
                                  std::size_t n_words, std::size_t batch,
                                  CollectScratch& scratch) {
-    if (options_.stop.stop_requested()) return 0;
     const circuit::EvalPlan& plan = *plan_;
     const std::size_t n_proj = problem_.var_signal->size();
     const std::size_t n_blocks =
@@ -239,9 +249,11 @@ class Harvester {
     }
     // Candidate batches never feed the diversity probe (the mask describes
     // GD rows), so unsolved candidate words skip the stash.
-    eval_blocks(packed, n_words, batch, 0, n_blocks, scratch.slots.data(),
-                scratch.solved_mask.data(), scratch.proj.data(),
-                /*probe=*/false);
+    for (std::size_t block = 0; block < n_blocks; ++block) {
+      eval_block(packed, n_words, batch, block, scratch.slots.data(),
+                 scratch.solved_mask.data(), scratch.proj.data(),
+                 /*probe=*/false);
+    }
     return accept_words(packed, n_words, n_proj, scratch.solved_mask.data(),
                         scratch.proj.data(), /*record_fresh=*/false);
   }
@@ -378,46 +390,40 @@ class Harvester {
 
  private:
   /// Phase-1 core shared by collect() and collect_candidates(): evaluates
-  /// blocks [block_begin, block_end) of the packed batch into `slots`,
-  /// writing per-word solved masks and (when projections are needed) the
-  /// projection stash.  Writes are per-word disjoint, so collect() may run
-  /// several ranges concurrently over distinct slot buffers.
-  void eval_blocks(const std::vector<std::uint64_t>& packed,
-                   std::size_t n_words, std::size_t batch,
-                   std::size_t block_begin, std::size_t block_end,
-                   std::uint64_t* slots, std::uint64_t* solved_mask,
-                   std::uint64_t* proj, bool probe) const {
+  /// one block of the packed batch into `slots`, writing per-word solved
+  /// masks and (when projections are needed) the projection stash.  Writes
+  /// are per-word disjoint, so collect() may evaluate several blocks
+  /// concurrently over distinct slot buffers.
+  void eval_block(const std::vector<std::uint64_t>& packed,
+                  std::size_t n_words, std::size_t batch, std::size_t block,
+                  std::uint64_t* slots, std::uint64_t* solved_mask,
+                  std::uint64_t* proj, bool probe) const {
     constexpr std::size_t kB = circuit::EvalPlan::kBlockWords;
     const circuit::EvalPlan& plan = *plan_;
     const std::vector<circuit::SignalId>& var_signal = *problem_.var_signal;
     const std::size_t n_proj = var_signal.size();
-    for (std::size_t block = block_begin; block < block_end; ++block) {
-      if (options_.stop.stop_requested()) return;
-      const std::size_t w0 = block * kB;
-      const std::size_t count = std::min(kB, n_words - w0);
-      plan.eval_block(packed.data(), n_words, w0, count, slots);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        const std::size_t w = w0 + lane;
-        std::uint64_t ok = plan.satisfied(slots, lane);
-        // Mask off lanes past the batch in the final partial word.
-        const std::size_t rows_here = std::min<std::size_t>(64, batch - w * 64);
-        if (rows_here < 64) ok &= (1ULL << rows_here) - 1;
-        solved_mask[w] = ok;
-        std::uint64_t* stash = proj + w * n_proj;
-        if (ok != 0 && stash_all_) {
-          // Store/verify wants the whole projected assignment; the sampling
-          // set is a subset, so this also covers projected keys and probes.
-          for (std::size_t v = 0; v < n_proj; ++v) {
-            stash[v] =
-                circuit::EvalPlan::signal_word(slots, var_signal[v], lane);
-          }
-        } else if ((ok != 0 && mode_.projected) || probe) {
-          // Keys-only projected accept needs set bits of solved rows; the
-          // diversity probe needs them for every row (unsolved included).
-          for (const cnf::Var v : problem_.sampling_set) {
-            stash[v] =
-                circuit::EvalPlan::signal_word(slots, var_signal[v], lane);
-          }
+    const std::size_t w0 = block * kB;
+    const std::size_t count = std::min(kB, n_words - w0);
+    plan.eval_block(packed.data(), n_words, w0, count, slots);
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      const std::size_t w = w0 + lane;
+      std::uint64_t ok = plan.satisfied(slots, lane);
+      // Mask off lanes past the batch in the final partial word.
+      const std::size_t rows_here = std::min<std::size_t>(64, batch - w * 64);
+      if (rows_here < 64) ok &= (1ULL << rows_here) - 1;
+      solved_mask[w] = ok;
+      std::uint64_t* stash = proj + w * n_proj;
+      if (ok != 0 && stash_all_) {
+        // Store/verify wants the whole projected assignment; the sampling
+        // set is a subset, so this also covers projected keys and probes.
+        for (std::size_t v = 0; v < n_proj; ++v) {
+          stash[v] = circuit::EvalPlan::signal_word(slots, var_signal[v], lane);
+        }
+      } else if ((ok != 0 && mode_.projected) || probe) {
+        // Keys-only projected accept needs set bits of solved rows; the
+        // diversity probe needs them for every row (unsolved included).
+        for (const cnf::Var v : problem_.sampling_set) {
+          stash[v] = circuit::EvalPlan::signal_word(slots, var_signal[v], lane);
         }
       }
     }

@@ -169,10 +169,14 @@ class RoundRunner {
   /// caller records unique counts / progress / streams solutions out; it
   /// must not consume `rng`.  `stop_now()` is polled once per iteration
   /// *after* its checkpoint — returning true ends the round early (target
-  /// reached, deadline, cooperative cancel).  The historical loop shape is
-  /// preserved exactly: the iteration-0 collect has no stop poll (descent
-  /// always gets its first iteration), and the round's final harvest skips
-  /// the restart draws because a fresh randomize() follows anyway.
+  /// reached, or the stop token fired).  Inside an iteration the harvester
+  /// and amplifier poll the token themselves, at every harvest block and
+  /// amplifier base, and the runner polls it before every engine
+  /// iteration.  Runs the token does not stop keep the historical
+  /// loop shape exactly: the iteration-0 collect has no stop_now() poll
+  /// (descent always gets its first iteration), and the round's final
+  /// harvest skips the restart draws because a fresh randomize() follows
+  /// anyway.
   template <typename Checkpoint, typename Stop>
   void run_round(util::Rng& rng, Checkpoint&& checkpoint, Stop&& stop_now) {
     // Telemetry reads the clock and counters only — never the RNG, never
@@ -278,6 +282,7 @@ class RoundRunner {
       restart_diversity_rows();
     }
     for (int iter = 1; iter <= config_.iterations; ++iter) {
+      if (options_.stop.stop_requested()) break;
       engine_.run_iteration();
       ++counters_.gd_iterations;
       if (config_.collect_each_iteration || iter == config_.iterations) {
@@ -306,6 +311,12 @@ class RoundRunner {
                                               util::monotonic_ns());
     }
   }
+
+  /// Replaces the token the harvester and amplifier poll (the runner's copy
+  /// of RunOptions::stop).  run_gd_loop builds every runner first and hands
+  /// each one the budgeted token when its sampling clock starts, so engine
+  /// allocation stays outside the budget.
+  void set_stop(util::StopToken stop) { options_.stop = std::move(stop); }
 
   /// The session's accounting (n_valid, n_invalid, stored solutions,
   /// progress); callers may drain solutions and append progress points.

@@ -23,7 +23,9 @@ struct RunOptions {
   /// 1000).  0 means "run until the budget expires".
   std::size_t min_solutions = 1000;
   /// Wall-clock budget in milliseconds (the paper's timeout is 2 h; the
-  /// bench harnesses scale this down).  <= 0 disables the deadline.
+  /// bench harnesses scale this down).  <= 0 disables it.  A sampler adds
+  /// it to `stop` as a deadline when its sampling clock starts, so the
+  /// budget and a cancel are one signal polled at the same points.
   double budget_ms = 2000.0;
   std::uint64_t seed = 0x5eed;
   /// Keep at most this many full assignments in RunResult::solutions
@@ -37,12 +39,12 @@ struct RunOptions {
   /// failures in n_invalid (all samplers must keep this at 0; enabled by
   /// tests, costs one formula evaluation per solution).
   bool verify_against_cnf = false;
-  /// Cooperative cancellation: samplers poll this at their natural yield
-  /// points (the GD loop checks it at round and iteration boundaries, the
-  /// harvester between evaluation blocks) and return partial results when a
-  /// stop is requested.  The default token never fires, so existing callers
-  /// are unaffected; the service layer wires each request's abort source
-  /// (client cancel or deadline reaper) in here.
+  /// Cooperative cancellation: samplers poll this token, with budget_ms
+  /// added, at their natural yield points (GD round and iteration
+  /// boundaries, harvest blocks, amplifier bases, solver decisions) and
+  /// return partial results once it fires.  The default token never fires.
+  /// A service job passes its own token here: its abort source (client
+  /// cancel, shutdown) plus its deadline.
   util::StopToken stop;
 };
 

@@ -4,9 +4,7 @@
 
 #include "service/request.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/check.hpp"
 #include "util/timer.hpp"
-#include "verify/plan_verifier.hpp"
 
 namespace hts::service {
 
@@ -41,9 +39,6 @@ PlanKey plan_fingerprint(const cnf::Formula& formula,
       ++key.n_literals;
     }
   }
-  // verify_plans is deliberately NOT mixed in: verification never changes
-  // the compiled artifacts, so verified and unverified requests must share
-  // one cache entry.
   h = mix(h, (options.cone_only ? 1ULL : 0ULL) |
                  (options.optimize_tape ? 2ULL : 0ULL));
   h = mix(h, options.transform.max_block_clauses);
@@ -62,15 +57,6 @@ CompiledPlan::CompiledPlan(const cnf::Formula& formula,
         transformed.circuit,
         prob::CompiledCircuit::Options{options.cone_only, options.optimize_tape});
     eval_plan.emplace(transformed.circuit);
-    if (options.verify_plans && !verify::plans_verified()) {
-      // The build-wide hook is off; this request asked for verification
-      // explicitly, so lint both artifacts now (fatal on violation, like
-      // the hook).
-      const verify::Report tape_report = verify::verify_exec_plan(*compiled);
-      HTS_CHECK_MSG(tape_report.ok(), tape_report.to_string().c_str());
-      const verify::Report eval_report = verify::verify_eval_plan(*eval_plan);
-      HTS_CHECK_MSG(eval_report.ok(), eval_report.to_string().c_str());
-    }
   }
   compile_ms = timer.milliseconds();
 }

@@ -43,13 +43,6 @@ struct PlanOptions {
   bool cone_only = false;
   bool optimize_tape = true;
   transform::Config transform;
-  /// Run the plan-IR verifier (verify/plan_verifier.hpp) over the freshly
-  /// compiled tape and eval plan, aborting on any violation.  Redundant (and
-  /// skipped) when the build-wide HTS_VERIFY_PLANS hook already verifies
-  /// every construction; cache-neutral — verification never changes the
-  /// artifacts, so it is excluded from the fingerprint and a hit on an
-  /// already-verified entry stays a hit.
-  bool verify_plans = false;
 };
 
 struct PlanKey {

@@ -221,9 +221,9 @@ struct JobStats : sampler::LoopCounters {
   ErrorInfo error;
   /// Transient-retry re-enqueues consumed (bounded by ServerConfig::max_retries).
   std::uint32_t retries = 0;
-  /// Admission accepted the job only after shrinking its round budget (see
-  /// AdmissionConfig::allow_degrade); the stream is then a pure function of
-  /// the *degraded* config, not the submitted one.
+  /// Admission accepted the job only after shrinking its GD batch
+  /// (config.batch, by at most AdmissionConfig::max_degrade); the stream is
+  /// then a pure function of the *degraded* config, not the submitted one.
   bool degraded = false;
 };
 

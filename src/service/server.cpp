@@ -50,14 +50,20 @@ void record_slice_ms(double slice_ms) {
   slice_hist.observe(slice_ms);
 }
 
-/// Per-client admission counters.  Client ids are formatted per event;
-/// submit/retry frequency is scheduling-edge, not per-iteration, so the
-/// by-name registry lookup is acceptable there.
-void record_client_event(const char* name, std::uint64_t client_id) {
-  telemetry::Registry::global()
-      .counter(name, {{"client", std::to_string(client_id)}})
-      .increment();
+/// Fleet-wide admission and retry counters, with no client label: registry
+/// entries live for the whole process, so a label per client_id would grow
+/// without bound.  Submit/retry frequency is scheduling-edge, so the by-name
+/// lookup is acceptable.
+void record_scheduler_event(const char* name) {
+  telemetry::Registry::global().counter(name).increment();
 }
+
+/// Admission model constants.  Weight of the newest finished job's exec
+/// cost in the per-job cost EWMA.
+constexpr double kCostEwmaAlpha = 0.2;
+/// Floor for a degraded GD batch: shrinking below this costs more in
+/// per-round overhead than it saves.
+constexpr std::size_t kMinDegradedBatch = 64;
 
 void record_finalized(JobStatus status) {
   telemetry::Registry::global()
@@ -113,18 +119,20 @@ struct Session {
 struct Job {
   explicit Job(SamplingRequest req)
       : request(std::move(req)),
-        deadline(request.deadline_ms > 0.0 ? request.deadline_ms : -1.0),
+        stop(abort.token().with_budget(request.deadline_ms)),
         stream(std::make_shared<SolutionStream>(request.stream_capacity,
                                                 request.on_solution)) {}
 
   SamplingRequest request;
+  /// Assigned at submit, in submission order (the FIFO tie-break).
   std::uint64_t id = 0;
-  std::uint64_t submit_seq = 0;
-  /// Clock starts at construction (== submission), so queue wait counts
-  /// against the budget: that is the deadline the scheduler orders by.
-  util::Deadline deadline;
+  /// Fired only by a client cancel or server shutdown: set means cancelled.
   util::StopSource abort;
-  std::atomic<bool> user_cancelled{false};
+  /// The job's one stop signal: `abort` plus the deadline counted from
+  /// construction (== submission, so queue wait spends the budget).  EDF
+  /// orders by its remaining_ms(); the slice polls it everywhere.  Never
+  /// reassigned, so any thread may read it.
+  const util::StopToken stop;
   std::shared_ptr<SolutionStream> stream;
   std::atomic<JobStatus> status{JobStatus::kQueued};
 
@@ -180,11 +188,6 @@ struct Job {
   /// Absolute submission stamp (the async job track's begin).
   [[nodiscard]] std::uint64_t submit_ns() const { return lifetime.start_ns(); }
 
-  void cancel() {
-    user_cancelled.store(true, std::memory_order_relaxed);
-    abort.request_stop();
-  }
-
   /// Copies the session's counters (when it exists) into stats.  `rounds`
   /// stays the count of claimed rounds: a retried round runs twice but is
   /// claimed once.
@@ -224,7 +227,7 @@ ErrorInfo JobHandle::error() const {
   return job_->stats.error;
 }
 
-void JobHandle::cancel() const { job_->cancel(); }
+void JobHandle::cancel() const { job_->abort.request_stop(); }
 
 // status is atomic, but the waits still hold job mutex: finalize() stores
 // the terminal status under it before notifying, so a waiter can never
@@ -259,7 +262,6 @@ Server::Server(ServerConfig config)
                            1, std::thread::hardware_concurrency())),
       cache_(config.plan_cache_capacity),
       pool_(n_workers_) {
-  if (config_.rounds_per_slice == 0) config_.rounds_per_slice = 1;
   if (config_.retry_backoff_ms < 0.0) config_.retry_backoff_ms = 0.0;
   // Arm the injector before any worker exists; a malformed spec throws out
   // of the constructor (the pool joins its idle threads on unwind).
@@ -290,7 +292,6 @@ JobHandle Server::submit(SamplingRequest request) {
   {
     util::LockGuard lock(mutex_);
     job->id = next_id_++;
-    job->submit_seq = job->id;
     ++stats_.submitted;
     if (shutdown_) {
       outcome = Outcome::kShutdown;
@@ -315,7 +316,7 @@ JobHandle Server::submit(SamplingRequest request) {
   }
   switch (outcome) {
     case Outcome::kShutdown:
-      job->cancel();
+      job->abort.request_stop();
       finalize(job, JobStatus::kCancelled);
       break;
     case Outcome::kRejected: {
@@ -327,8 +328,7 @@ JobHandle Server::submit(SamplingRequest request) {
         job->stats.error = error;
       }
       if (telemetry::metrics_enabled()) {
-        record_client_event("hts_scheduler_rejected_total",
-                            job->request.client_id);
+        record_scheduler_event("hts_scheduler_rejected_total");
       }
       if (telemetry::trace_enabled()) {
         telemetry::TraceSink::global().async_instant(
@@ -339,8 +339,7 @@ JobHandle Server::submit(SamplingRequest request) {
     }
     case Outcome::kAccepted:
       if (telemetry::metrics_enabled()) {
-        record_client_event("hts_scheduler_admitted_total",
-                            job->request.client_id);
+        record_scheduler_event("hts_scheduler_admitted_total");
         queue_depth_gauge().add(1);
       }
       if (telemetry::trace_enabled()) {
@@ -405,7 +404,7 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
   // queued jobs with earlier deadlines — EDF serves those first).
   std::size_t ahead = running_.size();
   for (const std::shared_ptr<Job>& queued : ready_) {
-    if (queued->deadline.remaining_ms() < request.deadline_ms) ++ahead;
+    if (queued->stop.remaining_ms() < request.deadline_ms) ++ahead;
   }
   const double cost = avg_job_cost_ms_;
   const double wait =
@@ -421,7 +420,7 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
     const double shrink = cost / slack;
     if (shrink <= admission.max_degrade) {
       job.request.config.batch =
-          std::max(admission.min_degraded_batch,
+          std::max(kMinDegradedBatch,
                    static_cast<std::size_t>(
                        static_cast<double>(job.request.config.batch) / shrink));
       {
@@ -450,7 +449,7 @@ void Server::shutdown() {
   }
   // Abort everything in flight; workers retire the ready queue (each pop
   // sees the cancel and finalizes without spending a slice) and then exit.
-  for (const std::shared_ptr<Job>& job : outstanding) job->cancel();
+  for (const std::shared_ptr<Job>& job : outstanding) job->abort.request_stop();
   work_cv_.notify_all();
   util::LockGuard lock(mutex_);
   while (workers_alive_ != 0) workers_exit_cv_.wait(mutex_);
@@ -477,16 +476,17 @@ StatsSnapshot Server::stats_snapshot() const {
 }
 
 bool Server::schedules_before_locked(const Job& a, const Job& b) const {
-  // Aborted jobs first: retiring one frees its slot without spending a
+  // Cancelled jobs first: retiring one frees its slot without spending a
   // slice, so a cancelled job never waits behind real work.
   const bool abort_a = a.abort.stop_requested();
   const bool abort_b = b.abort.stop_requested();
   if (abort_a != abort_b) return abort_a;
   // EDF on remaining budget (both read "now" within one scan, so this
-  // orders like absolute deadlines); no-deadline jobs report ~1e18 and sort
-  // last together, where the round-robin below takes over.
-  const double da = a.deadline.remaining_ms();
-  const double db = b.deadline.remaining_ms();
+  // orders like absolute deadlines; expired jobs read negative and come
+  // next); no-deadline jobs report ~1e18 and sort last together, where the
+  // round-robin below takes over.
+  const double da = a.stop.remaining_ms();
+  const double db = b.stop.remaining_ms();
   if (da != db) return da < db;
   const auto stamp = [this](std::uint64_t client) -> std::uint64_t {
     const auto it = client_last_pop_.find(client);
@@ -498,13 +498,13 @@ bool Server::schedules_before_locked(const Job& a, const Job& b) const {
   // Within one client: round-robin across its jobs too (a re-queued job
   // carries a fresh stamp, so an unserved sibling goes first), then FIFO.
   if (a.last_pop_seq != b.last_pop_seq) return a.last_pop_seq < b.last_pop_seq;
-  return a.submit_seq < b.submit_seq;
+  return a.id < b.id;
 }
 
 bool Server::eligible_locked(const Job& job) const {
-  // Aborted/expired jobs bypass any backoff: retiring them is cheap and
+  // Cancelled/expired jobs bypass any backoff: retiring them is cheap and
   // frees their slot immediately.
-  if (job.abort.stop_requested() || job.deadline.expired()) return true;
+  if (job.stop.stop_requested()) return true;
   return job.not_before_ms <= 0.0 ||
          job.lifetime.milliseconds() >= job.not_before_ms;
 }
@@ -538,12 +538,6 @@ std::shared_ptr<Job> Server::pop_best_locked() {
   return job;
 }
 
-void Server::reap_running_locked() {
-  for (const std::shared_ptr<Job>& job : running_) {
-    if (job->deadline.expired()) job->abort.request_stop();
-  }
-}
-
 void Server::worker_loop(std::size_t worker_index) {
   if (telemetry::trace_enabled()) {
     telemetry::TraceSink::global().set_thread_name(
@@ -554,7 +548,6 @@ void Server::worker_loop(std::size_t worker_index) {
     {
       util::LockGuard lock(mutex_);
       for (;;) {
-        reap_running_locked();
         if (!ready_.empty()) {
           job = pop_best_locked();
           if (job != nullptr) break;
@@ -564,15 +557,11 @@ void Server::worker_loop(std::size_t worker_index) {
           workers_exit_cv_.notify_all();
           return;
         }
-        // Sleep until work arrives — but never past the nearest running
-        // deadline (so an expired job's abort token fires promptly even
-        // when every other worker is busy inside a slice) nor past the
-        // nearest retry-backoff expiry (so a recovered job is not stranded
-        // on an otherwise idle fleet).
+        // Sleep until work arrives — but never past the nearest
+        // retry-backoff expiry, so a recovered job is not stranded on an
+        // otherwise idle fleet.  Running jobs need no watch: their slices
+        // poll their own stop tokens, deadline included.
         double margin_ms = std::numeric_limits<double>::infinity();
-        for (const std::shared_ptr<Job>& running : running_) {
-          margin_ms = std::min(margin_ms, running->deadline.remaining_ms());
-        }
         for (const std::shared_ptr<Job>& queued : ready_) {
           margin_ms = std::min(
               margin_ms, queued->not_before_ms - queued->lifetime.milliseconds());
@@ -626,7 +615,7 @@ void Server::worker_loop(std::size_t worker_index) {
       const bool retryable = error.category == ErrorCategory::kTransient ||
                              error.category == ErrorCategory::kResource;
       if (retryable && job->retries < config_.max_retries &&
-          !job->abort.stop_requested() && !job->deadline.expired()) {
+          !job->stop.stop_requested()) {
         // Exponential backoff: base, 2x base, 4x base, ...  The job keeps
         // its bank and built state, so the retried round re-runs with the
         // same RNG stream and dedups into the same bank (exactly-once
@@ -653,10 +642,7 @@ void Server::worker_loop(std::size_t worker_index) {
     if (telemetry::metrics_enabled()) {
       record_slice_ms(static_cast<double>(slice_end_ns - slice_begin_ns) *
                       1e-6);
-      if (retried) {
-        record_client_event("hts_scheduler_retried_total",
-                            job->request.client_id);
-      }
+      if (retried) record_scheduler_event("hts_scheduler_retried_total");
     }
     if (telemetry::trace_enabled()) {
       telemetry::TraceSink& sink = telemetry::TraceSink::global();
@@ -703,14 +689,11 @@ void Server::worker_loop(std::size_t worker_index) {
 JobStatus Server::run_slice(Job& job) {
   const SamplingRequest& request = job.request;
 
-  // A job can be aborted (cancel, shutdown, reaper) or expire while it sits
-  // in the queue; retire it before paying for compilation or engine
+  // A job can be cancelled (client, shutdown) or expire while it sits in
+  // the queue; retire it before paying for compilation or engine
   // allocation.
-  if (job.user_cancelled.load(std::memory_order_relaxed)) {
-    return JobStatus::kCancelled;
-  }
-  if (job.deadline.expired()) return JobStatus::kDeadlineExpired;
   if (job.abort.stop_requested()) return JobStatus::kCancelled;
+  if (job.stop.stop_requested()) return JobStatus::kDeadlineExpired;
 
   // A retry keeps whatever was built: the plan, and the session (built as
   // one unit, see Session) with the uniques its bank holds from earlier
@@ -762,12 +745,11 @@ JobStatus Server::run_slice(Job& job) {
     injector_.maybe_fault(fault_sites::kEngineAlloc);
     sampler::RunOptions options;
     options.min_solutions = request.target_uniques;
-    options.budget_ms = request.deadline_ms;
     options.seed = request.seed;
     const bool deliver =
         request.deliver_solutions || static_cast<bool>(request.on_solution);
     options.store_limit = deliver ? std::numeric_limits<std::size_t>::max() : 0;
-    options.stop = job.abort.token();
+    options.stop = job.stop;
     sampler::GdProblem problem;
     problem.circuit = &job.plan->transformed.circuit;
     problem.var_signal = &job.plan->transformed.var_signal;
@@ -807,7 +789,6 @@ JobStatus Server::run_slice(Job& job) {
   // and the rest stays queued — a retry delivers exactly the missing suffix
   // (the re-run round's harvest re-inserts into the bank, so nothing is
   // appended twice).
-  const util::StopToken abort_token = job.abort.token();
   auto checkpoint = [&](int) {
     job.fail_site = fault_sites::kHarvest;
     injector_.maybe_fault(fault_sites::kHarvest);
@@ -819,8 +800,7 @@ JobStatus Server::run_slice(Job& job) {
     try {
       for (cnf::Assignment& assignment : solutions) {
         injector_.maybe_fault(fault_sites::kStreamPush);
-        if (!job.stream->push(std::move(assignment), abort_token,
-                              job.deadline)) {
+        if (!job.stream->push(std::move(assignment), job.stop)) {
           break;  // dropped: consumer cancelled or the job is winding down
         }
         ++pushed;
@@ -841,8 +821,7 @@ JobStatus Server::run_slice(Job& job) {
     job.publish_counters();
   };
   auto stop_now = [&] {
-    return reached_target() || capped() || job.deadline.expired() ||
-           job.abort.stop_requested();
+    return reached_target() || capped() || job.stop.stop_requested();
   };
 
   // Leftover deliveries from a faulted attempt (the aborted round banked
@@ -851,13 +830,12 @@ JobStatus Server::run_slice(Job& job) {
   // target would finalize kCompleted with solutions undelivered.
   if (!solutions.empty()) checkpoint(0);
 
-  for (std::size_t s = 0; s < config_.rounds_per_slice; ++s) {
-    // A replayed round runs to its natural end even if the bank already
-    // meets the target: the golden (fault-free) run would have finished the
-    // round before stopping, and convergence to the golden stream is the
-    // retry contract.  (Aborts and deadlines still cut in: the early-retire
-    // checks above and run_round's own stop polls see them.)
-    if (!job.replay_round && stop_now()) break;
+  // One slice is one round.  A replayed round runs to its natural end even
+  // if the bank already meets the target: the golden (fault-free) run would
+  // have finished the round before stopping, and convergence to the golden
+  // stream is the retry contract.  (Cancels and deadlines still cut in: the
+  // early-retire checks above and run_round's own stop polls see them.)
+  if (job.replay_round || !stop_now()) {
     injector_.maybe_fault(fault_sites::kSlice);
     // Per-round RNG streams make the job's trajectory a pure function of
     // (seed, round index) — scheduling order and fleet size never reach it.
@@ -877,12 +855,9 @@ JobStatus Server::run_slice(Job& job) {
   }
 
   if (reached_target()) return JobStatus::kCompleted;
-  if (job.user_cancelled.load(std::memory_order_relaxed)) {
-    return JobStatus::kCancelled;
-  }
-  if (capped()) return JobStatus::kCapped;
-  if (job.deadline.expired()) return JobStatus::kDeadlineExpired;
   if (job.abort.stop_requested()) return JobStatus::kCancelled;
+  if (capped()) return JobStatus::kCapped;
+  if (job.stop.stop_requested()) return JobStatus::kDeadlineExpired;
   return JobStatus::kRunning;
 }
 
@@ -937,8 +912,8 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
     // the per-job cost estimate (rejected/never-scheduled ones say nothing
     // about execution cost).
     if (exec_ms > 0.0) {
-      const double alpha = config_.admission.cost_ewma_alpha;
-      avg_job_cost_ms_ = (1.0 - alpha) * avg_job_cost_ms_ + alpha * exec_ms;
+      avg_job_cost_ms_ =
+          (1.0 - kCostEwmaAlpha) * avg_job_cost_ms_ + kCostEwmaAlpha * exec_ms;
     }
     switch (status) {
       case JobStatus::kCompleted: ++stats_.completed; break;

@@ -11,16 +11,17 @@
 //
 // Scheduling is earliest-deadline-first over *time slices*: a worker pops
 // the queued job with the nearest deadline (no-deadline jobs sort last, as
-// batch traffic), runs a bounded number of GD rounds, and re-queues the
-// job, so a long request cannot occupy a worker beyond one slice while a
-// short-deadline request waits — no head-of-line blocking.  Deadline ties
-// (notably the all-batch case) break round-robin across client_ids, then
-// FIFO by submission, so one chatty client cannot crowd out another.
-// Expired deadlines are noticed three ways: the job's own slice polls at
-// iteration boundaries, idle workers reap running jobs' abort tokens (which
-// interrupt even mid-harvest, at block boundaries), and expired queued jobs
-// sort to the front where the next free worker retires them without
-// spending a slice.
+// batch traffic), runs one GD round, and re-queues the job, so a long
+// request cannot occupy a worker beyond one slice while a short-deadline
+// request waits — no head-of-line blocking.  Deadline ties (notably the
+// all-batch case) break round-robin across client_ids, then FIFO by
+// submission, so one chatty client cannot crowd out another.
+// A job's deadline rides in its util::StopToken, together with its cancel
+// source, so one signal covers both.  A running slice polls that token at
+// iteration boundaries, harvest blocks, amplifier bases and stream pushes,
+// so it winds down within one step that cannot be interrupted.  An expired
+// queued job sorts ahead of live ones and the next free worker retires it
+// without spending a slice.
 //
 // Every job's solution stream is deterministic in (formula, seed, config):
 // rounds execute sequentially per job and round r draws from
@@ -77,18 +78,14 @@ struct AdmissionConfig {
   bool enabled = false;
   /// Per-job execution-cost prior (ms) used until the EWMA has data.
   double initial_job_cost_ms = 5.0;
-  /// EWMA weight of the newest finished job's exec cost.
-  double cost_ewma_alpha = 0.2;
   /// Head-room multiplier on the projected wait + cost; > 1 rejects
   /// requests that would only fit if every estimate were exact.
   double safety_factor = 1.5;
   /// Largest batch-shrink factor admission may apply to fit a deadline
   /// (1.0 = never degrade, reject instead).  A degraded job's stream is a
   /// pure function of the *degraded* config; JobStats::degraded records it.
+  /// A degraded batch never drops below 64 rows.
   double max_degrade = 1.0;
-  /// Floor for a degraded GD batch — shrinking below this costs more in
-  /// per-round overhead than it saves.
-  std::size_t min_degraded_batch = 64;
   /// Per-client cap on live (queued + running) jobs; 0 = unlimited.
   std::size_t max_client_jobs = 0;
   /// Per-client cap on summed bank-byte reservations (each request reserves
@@ -100,11 +97,9 @@ struct AdmissionConfig {
 
 struct ServerConfig {
   /// Worker fleet size; 0 = hardware concurrency.  Each worker runs one
-  /// job slice at a time, so this bounds concurrently resident engines.
+  /// job slice (one GD round) at a time, so this bounds concurrently
+  /// resident engines.
   std::size_t n_workers = 0;
-  /// GD rounds per scheduling slice.  1 (default) gives the finest-grained
-  /// fairness; raise it to amortize scheduling overhead on tiny instances.
-  std::size_t rounds_per_slice = 1;
   /// Plan-cache capacity in entries (distinct formula/options pairs).
   std::size_t plan_cache_capacity = 32;
   /// Admission control & per-client quotas (see AdmissionConfig).
@@ -237,7 +232,7 @@ class Server {
   /// written to *error.
   [[nodiscard]] bool admit_locked(detail::Job& job, ErrorInfo* error)
       HTS_REQUIRES(mutex_);
-  /// A queued job may run now: aborted/expired jobs always (they retire
+  /// A queued job may run now: cancelled/expired jobs always (they retire
   /// cheaply); retried jobs only once their backoff window has passed.
   [[nodiscard]] bool eligible_locked(const detail::Job& job) const
       HTS_REQUIRES(mutex_);
@@ -249,11 +244,8 @@ class Server {
   [[nodiscard]] bool schedules_before_locked(const detail::Job& a,
                                              const detail::Job& b) const
       HTS_REQUIRES(mutex_);
-  /// Fires the abort token of running jobs whose deadline has passed, so
-  /// their slices wind down mid-harvest instead of at the next iteration.
-  void reap_running_locked() HTS_REQUIRES(mutex_);
-  /// Runs one slice; returns kRunning to continue (re-queue) or the
-  /// terminal status.
+  /// Runs one slice (one GD round); returns kRunning to continue (re-queue)
+  /// or the terminal status.
   [[nodiscard]] JobStatus run_slice(detail::Job& job) HTS_EXCLUDES(mutex_);
   void finalize(const std::shared_ptr<detail::Job>& job, JobStatus status)
       HTS_EXCLUDES(mutex_);

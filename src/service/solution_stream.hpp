@@ -7,10 +7,10 @@
 // iterator (next), non-blocking polls (try_next / drain), or — configured
 // at submit time — a synchronous callback that bypasses the buffer
 // entirely.  A bounded stream applies backpressure: when the buffer is
-// full, push() blocks the job's worker until the consumer drains, the job
-// aborts, or its deadline expires, so a slow consumer throttles exactly its
-// own job and nothing else (the fleet's other workers keep scheduling other
-// requests).
+// full, push() blocks the job's worker until the consumer drains or the
+// job's stop token fires (cancel or deadline), so a slow consumer throttles
+// exactly its own job and nothing else (the fleet's other workers keep
+// scheduling other requests).
 //
 // Delivery order is the job's deterministic harvest order: rounds execute
 // sequentially per job and each round's accept phase is serial, so for a
@@ -58,11 +58,11 @@ class SolutionStream {
   // ---- producer side (the job's worker) ------------------------------------
 
   /// Delivers one assignment.  Blocks while a bounded buffer is full, until
-  /// space opens or `abort`/`deadline` fires.  Returns false when the
-  /// assignment was dropped (consumer cancelled, or abort/deadline while
-  /// waiting); the job treats that as "stop delivering", not an error.
-  bool push(cnf::Assignment&& assignment, const util::StopToken& abort,
-            const util::Deadline& deadline) HTS_EXCLUDES(mutex_) {
+  /// space opens or `stop` fires (the job's cancel or deadline).  Returns
+  /// false when the assignment was dropped (consumer cancelled, or stopped
+  /// while waiting); the job treats that as "stop delivering", not an error.
+  bool push(cnf::Assignment&& assignment, const util::StopToken& stop)
+      HTS_EXCLUDES(mutex_) {
     if (callback_) {
       {
         util::LockGuard lock(mutex_);
@@ -82,12 +82,12 @@ class SolutionStream {
       util::LockGuard lock(mutex_);
       while (capacity_ != 0 && queue_.size() >= capacity_ && !cancelled_ &&
              !closed_) {
-        if (abort.stop_requested() || deadline.expired()) break;
+        if (stop.stop_requested()) break;
         if (stall_begin_ms < 0.0 && telemetry::metrics_enabled()) {
           stall_begin_ms = util::monotonic_ms();
         }
-        // Bounded wait so an abort/deadline raised while we sleep is noticed
-        // promptly even if no consumer ever wakes us.
+        // Bounded wait so a cancel or deadline that lands while we sleep is
+        // noticed promptly even if no consumer ever wakes us.
         space_cv_.wait_for_ms(mutex_, 10.0);
       }
       const bool full = capacity_ != 0 && queue_.size() >= capacity_;

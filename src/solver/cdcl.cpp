@@ -428,7 +428,7 @@ std::uint64_t CdclSolver::luby(std::uint64_t n) const {
 }
 
 Status CdclSolver::solve(const std::vector<Lit>& assumptions,
-                         const util::Deadline* deadline) {
+                         const util::StopToken& stop) {
   if (!ok_) return Status::kUnsat;
   backtrack(0);
 
@@ -471,7 +471,7 @@ Status CdclSolver::solve(const std::vector<Lit>& assumptions,
       continue;
     }
 
-    if (deadline != nullptr && deadline->expired()) {
+    if (stop.stop_requested()) {
       backtrack(0);
       return Status::kUnknown;
     }

@@ -18,7 +18,7 @@
 
 #include "cnf/formula.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
+#include "util/stop_token.hpp"
 
 namespace hts::solver {
 
@@ -53,10 +53,10 @@ class CdclSolver {
 
   [[nodiscard]] cnf::Var n_vars() const { return static_cast<cnf::Var>(assigns_.size()); }
 
-  /// Solves under optional assumptions.  kUnknown only when a budget or
-  /// deadline interrupts the search.
+  /// Solves under optional assumptions.  kUnknown only when the conflict
+  /// budget runs out or `stop` fires (polled before every decision).
   Status solve(const std::vector<cnf::Lit>& assumptions = {},
-               const util::Deadline* deadline = nullptr);
+               const util::StopToken& stop = {});
 
   /// Model of the last kSat answer (complete over all registered vars).
   [[nodiscard]] const cnf::Assignment& model() const { return model_; }

@@ -75,14 +75,14 @@ void WalkSat::flip(Var v) {
   ++total_flips_;
 }
 
-std::optional<cnf::Assignment> WalkSat::search(const util::Deadline* deadline) {
+std::optional<cnf::Assignment> WalkSat::search(const util::StopToken& stop) {
   cnf::Assignment init(formula_->n_vars());
   for (auto& bit : init) bit = rng_.next_bool() ? 1 : 0;
   rebuild(init);
 
   for (std::uint64_t step = 0; step < config_.max_flips; ++step) {
     if (unsat_clauses_.empty()) return assignment_;
-    if (deadline != nullptr && (step & 1023) == 0 && deadline->expired()) {
+    if ((step & 1023) == 0 && stop.stop_requested()) {
       return std::nullopt;
     }
     const std::size_t ci =

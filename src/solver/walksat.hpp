@@ -12,7 +12,7 @@
 
 #include "cnf/formula.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
+#include "util/stop_token.hpp"
 
 namespace hts::solver {
 
@@ -27,9 +27,10 @@ class WalkSat {
   explicit WalkSat(const cnf::Formula& formula, WalkSatConfig config = {});
 
   /// One restart from a fresh random assignment; returns a model when found
-  /// within max_flips.
+  /// within max_flips, nullopt when the flips run out or `stop` fires
+  /// (polled every 1024 flips).
   [[nodiscard]] std::optional<cnf::Assignment> search(
-      const util::Deadline* deadline = nullptr);
+      const util::StopToken& stop = {});
 
   [[nodiscard]] std::uint64_t total_flips() const { return total_flips_; }
 

@@ -31,9 +31,10 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Runs fn(begin, end) over a partition of [0, n) across the pool and the
-  /// calling thread, blocking until all chunks complete.  fn must be safe to
-  /// invoke concurrently on disjoint ranges.
+  /// Runs fn(begin, end) over a partition of [0, n) on the pool's workers
+  /// while the calling thread waits, blocking until all chunks complete (a
+  /// range too small to split runs inline on the caller instead).  fn must
+  /// be safe to invoke concurrently on disjoint ranges.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn)
       HTS_EXCLUDES(mutex_);

@@ -2,10 +2,11 @@
 
 // Wall-clock timing used by the sampling harnesses and benches.
 //
-// Every duration this repo reports — Timer/Deadline here, the *_ms fields in
-// JobStats/GdLoopExtras, and the telemetry span/metric layer — derives from
-// the single monotonic clock below, so the two bookkeeping paths (ad-hoc
-// stats and trace spans) can never disagree about when something happened.
+// Every duration this repo reports — Timer here, StopToken deadlines, the
+// *_ms fields in JobStats/GdLoopExtras, and the telemetry span/metric layer —
+// derives from the single monotonic clock below, so the two bookkeeping
+// paths (ad-hoc stats and trace spans) can never disagree about when
+// something happened.
 
 #include <chrono>
 #include <cstdint>
@@ -54,30 +55,6 @@ class Timer {
 
  private:
   std::uint64_t start_ns_;
-};
-
-/// A soft deadline: components poll expired() to honour sampling timeouts
-/// (the paper gives each sampler a 2 h budget; our benches scale it down).
-class Deadline {
- public:
-  /// budget_ms <= 0 means "no deadline".
-  explicit Deadline(double budget_ms = -1.0) : budget_ms_(budget_ms) {}
-
-  [[nodiscard]] bool expired() const {
-    return budget_ms_ > 0.0 && timer_.milliseconds() >= budget_ms_;
-  }
-
-  [[nodiscard]] double remaining_ms() const {
-    if (budget_ms_ <= 0.0) return 1e18;
-    return budget_ms_ - timer_.milliseconds();
-  }
-
-  [[nodiscard]] double elapsed_ms() const { return timer_.milliseconds(); }
-  [[nodiscard]] double budget_ms() const { return budget_ms_; }
-
- private:
-  Timer timer_;
-  double budget_ms_;
 };
 
 }  // namespace hts::util

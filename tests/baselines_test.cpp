@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "baselines/cmsgen_like.hpp"
 #include "transform/transform.hpp"
@@ -16,6 +18,8 @@
 #include "baselines/walksat_sampler.hpp"
 #include "cnf/dimacs.hpp"
 #include "solver/brute.hpp"
+#include "util/stop_token.hpp"
+#include "util/timer.hpp"
 
 namespace hts::baselines {
 namespace {
@@ -88,6 +92,36 @@ TEST_P(AllBaselines, UnsatYieldsNothing) {
   options.budget_ms = 300.0;
   const sampler::RunResult result = sampler_ptr->run(f, options);
   EXPECT_EQ(result.n_unique, 0u) << sampler_ptr->name();
+}
+
+TEST_P(AllBaselines, PreFiredStopTokenYieldsNothing) {
+  const cnf::Formula f = small_formula();
+  auto sampler_ptr = make(GetParam());
+  sampler::RunOptions options = fast_options(0);  // run to budget
+  options.budget_ms = 1000.0;
+  util::StopSource source;
+  source.request_stop();
+  options.stop = source.token();
+  const sampler::RunResult result = sampler_ptr->run(f, options);
+  EXPECT_EQ(result.n_unique, 0u) << sampler_ptr->name();
+}
+
+TEST_P(AllBaselines, AsyncStopEndsALongRun) {
+  const cnf::Formula f = small_formula();
+  auto sampler_ptr = make(GetParam());
+  sampler::RunOptions options = fast_options(0);  // run to budget
+  options.budget_ms = 60000.0;  // the stop must beat this by far
+  util::StopSource source;
+  options.stop = source.token();
+  std::thread canceller([&source] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    source.request_stop();
+  });
+  const util::Timer timer;
+  const sampler::RunResult result = sampler_ptr->run(f, options);
+  canceller.join();
+  EXPECT_LT(timer.milliseconds(), 5000.0) << sampler_ptr->name();
+  EXPECT_EQ(result.n_invalid, 0u) << sampler_ptr->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Baselines, AllBaselines,

@@ -9,6 +9,7 @@
 
 #include "baselines/diff_sampler.hpp"
 #include "bdd/builder.hpp"
+#include "benchgen/families.hpp"
 #include "core/gradient_sampler.hpp"
 #include "core/unique_bank.hpp"
 #include "circuit/tseitin.hpp"
@@ -188,6 +189,27 @@ TEST(GradientSampler, RespectsDeadline) {
   const RunResult result = sampler.run(f, options);
   EXPECT_EQ(result.n_unique, 0u);
   EXPECT_LT(timer.milliseconds(), 5000.0);
+}
+
+TEST(GradientSampler, BudgetStopsTheHarvesterAndAmplifierToo) {
+  // A 1 ms budget expires while the first round's randomize() fills a
+  // batch-65536 engine.  The harvester and the amplifier poll the same
+  // budgeted token as the round loop, so no row is validated and no base
+  // is amplified; polling only at iteration boundaries would validate the
+  // whole iteration-0 batch and amplify every base it banked.
+  const benchgen::Instance instance =
+      benchgen::make_instance("or-100-20-8-UC-10");
+  GradientConfig config;
+  config.batch = 65536;
+  config.amplify.enabled = true;
+  GradientSampler sampler(config);
+  RunOptions options;
+  options.min_solutions = 0;  // the budget is the only stop
+  options.budget_ms = 1.0;
+  const RunResult result = sampler.run(instance.formula, options);
+  EXPECT_EQ(sampler.extras().rows_validated, 0u);
+  EXPECT_EQ(sampler.extras().amplified_candidates, 0u);
+  EXPECT_EQ(result.n_unique, 0u);
 }
 
 TEST(GradientSampler, TransformStatsExposed) {

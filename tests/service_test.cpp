@@ -366,6 +366,38 @@ TEST(ServiceServer, DeadlineExpiryReturnsPartialResultsCleanly) {
   EXPECT_EQ(solutions.size(), stats.n_unique);
 }
 
+TEST(ServiceServer, DeadlineCutsAnAmplifiedWideJobMidRound) {
+  // One round of an amplified batch-65536 job harvests thousands of bases
+  // and validates millions of flip mutants.  The deadline must cut in at
+  // harvest blocks and amplifier bases, through the job's own stop token,
+  // whether or not an idle worker is awake.  No n_unique > 0 check: 50 ms
+  // can pass before the first harvest.
+  const benchgen::Instance instance =
+      benchgen::make_instance("or-100-20-8-UC-10");
+  for (const std::size_t n_workers : {std::size_t{1}, std::size_t{2}}) {
+    Server server({.n_workers = n_workers});
+    // Warm the plan so the deadline is spent sampling, not compiling.
+    SamplingRequest warm;
+    warm.formula = instance.formula;
+    warm.target_uniques = 1;
+    warm.config.batch = 64;
+    ASSERT_EQ(server.submit(std::move(warm)).wait(), JobStatus::kCompleted);
+
+    SamplingRequest request;
+    request.formula = instance.formula;
+    request.seed = 5;
+    request.target_uniques = 0;  // the deadline is the only stop
+    request.deadline_ms = 50.0;
+    request.deliver_solutions = false;
+    request.config.batch = 65536;
+    request.config.amplify.enabled = true;
+    const JobHandle handle = server.submit(std::move(request));
+    EXPECT_EQ(handle.wait(), JobStatus::kDeadlineExpired)
+        << n_workers << " workers";
+    EXPECT_LT(handle.stats().wall_ms, 5000.0) << n_workers << " workers";
+  }
+}
+
 TEST(ServiceServer, CancelStopsARunningJobPromptly) {
   Server server({.n_workers = 1});
   const JobHandle handle = server.submit(endless_request());

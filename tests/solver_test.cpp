@@ -301,8 +301,8 @@ TEST(WalkSat, RespectsDeadline) {
   WalkSatConfig config;
   config.max_flips = ~0ULL;
   WalkSat walksat(f, config);
-  const util::Deadline deadline(50.0);
-  const auto model = walksat.search(&deadline);
+  const util::StopToken budget = util::StopToken().with_budget(50.0);
+  const auto model = walksat.search(budget);
   EXPECT_FALSE(model.has_value());
 }
 

@@ -380,6 +380,35 @@ TEST(TelemetryService, DisabledTelemetryRecordsNothing) {
   EXPECT_TRUE(TraceSink::global().snapshot_events().empty());
 }
 
+TEST(TelemetryService, SchedulerCountersDoNotGrowPerClient) {
+  // Registry entries live for the whole process, so a per-client label
+  // would grow one entry per client_id ever seen; the fleet totals carry
+  // no client label.
+  TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
+  constexpr std::uint64_t kClients = 64;
+  {
+    service::Server server({.n_workers = 2});
+    std::vector<service::JobHandle> handles;
+    for (std::uint64_t client = 0; client < kClients; ++client) {
+      service::SamplingRequest request = small_request(5, 1000 + client);
+      request.client_id = client;
+      handles.push_back(server.submit(std::move(request)));
+    }
+    for (const service::JobHandle& handle : handles) {
+      EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted);
+    }
+  }
+  std::size_t entries = 0;
+  double admitted = 0.0;
+  for (const MetricSnapshot& m : Registry::global().snapshot()) {
+    if (m.name != "hts_scheduler_admitted_total") continue;
+    ++entries;
+    admitted += m.value;
+  }
+  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(admitted, static_cast<double>(kClients));
+}
+
 TEST(TelemetryService, CompileBilledOnceWaitersBilledAsCacheWait) {
   TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
   // 8 jobs, one shared formula/options key: exactly one request compiles,

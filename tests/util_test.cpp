@@ -136,19 +136,6 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_GE(timer.seconds(), 0.0);
 }
 
-TEST(Deadline, NoBudgetNeverExpires) {
-  const Deadline deadline;
-  EXPECT_FALSE(deadline.expired());
-  EXPECT_GT(deadline.remaining_ms(), 1e12);
-}
-
-TEST(Deadline, TinyBudgetExpires) {
-  const Deadline deadline(0.0001);
-  volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  EXPECT_TRUE(deadline.expired());
-}
-
 TEST(ThreadPool, CoversFullRangeOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 100000;
@@ -351,6 +338,34 @@ TEST(StopToken, CopiedTokensShareTheFlag) {
   source.request_stop();
   EXPECT_TRUE(a.stop_requested());
   EXPECT_TRUE(b.stop_requested());
+}
+
+TEST(StopToken, NoBudgetNeverStops) {
+  StopSource source;
+  for (const double budget_ms : {0.0, -1.0}) {
+    const StopToken token = source.token().with_budget(budget_ms);
+    EXPECT_FALSE(token.stop_requested());
+    EXPECT_GT(token.remaining_ms(), 1e17);
+  }
+  EXPECT_GT(StopToken().remaining_ms(), 1e17);
+}
+
+TEST(StopToken, TinyBudgetStops) {
+  const StopToken token = StopToken().with_budget(0.0001);
+  EXPECT_TRUE(token.stop_possible());
+  volatile double sink = 0;
+  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+  EXPECT_TRUE(token.stop_requested());
+  EXPECT_LT(token.remaining_ms(), 0.0);
+}
+
+TEST(StopToken, FiredSourceStopsWhateverTheBudget) {
+  StopSource source;
+  const StopToken token = source.token().with_budget(60000.0);
+  EXPECT_FALSE(token.stop_requested());
+  EXPECT_GT(token.remaining_ms(), 1000.0);
+  source.request_stop();
+  EXPECT_TRUE(token.stop_requested());
 }
 
 TEST(ThreadPool, SubmitRunsDetachedTasks) {
