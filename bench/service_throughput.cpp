@@ -33,14 +33,12 @@
 //                         duplicate projections delivered, and >= 1.5x
 //                         distinct projected uniques on >= 2 of 3
 //                         families.
-//   telemetry-overhead    the identical fixed-work fleet with telemetry
-//                         (metrics + tracing) off vs on, min-of-3 each,
-//                         interleaved.  Asserts the enabled-path overhead
-//                         bar (<= 2%, plus a small absolute allowance for
-//                         timer granularity), records the slice-duration
-//                         p50/p99 the registry exported, and cross-checks
-//                         the delivered-solutions counter against the sum
-//                         of the fleet's JobStats.
+//   telemetry-overhead    the identical fixed-work fleet with tracing off
+//                         vs on, min-of-3 each, interleaved.  Asserts the
+//                         traced-path overhead bar (<= 2%, plus the
+//                         measured noise floor), and records the
+//                         slice-duration p50/p99 from the traced server's
+//                         stats_snapshot().
 //
 // Extra knobs on top of bench_common's:
 //   HTS_BENCH_SERVICE_REQUESTS  concurrent requests in the throughput
@@ -61,7 +59,6 @@
 
 #include "bench_common.hpp"
 #include "service/server.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
@@ -675,23 +672,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- scenario 7: telemetry overhead at fixed work -------------------------
+  // --- scenario 7: tracing overhead at fixed work ---------------------------
   // The same fleet (same formulas, seeds, targets — fixed work, not fixed
-  // time) runs with telemetry fully off and fully on (metrics + tracing),
-  // interleaved min-of-3 per mode so machine drift hits both sides.  The
-  // contract under test: every record site is one relaxed-load branch when
-  // off and a couple of relaxed atomic ops when on, so the enabled run must
-  // stay within 2% of the disabled run plus the machine's own measured
-  // noise floor (see `allowance` below).
+  // time) runs with tracing off and on, interleaved min-of-3 per mode so
+  // machine drift hits both sides.  Metrics cost nothing per event (the
+  // server builds them from its own counters when asked), so tracing is the
+  // only instrumentation to price: every span site is one relaxed-load
+  // branch when off, so the traced run must stay within 2% of the untraced
+  // run plus the machine's own measured noise floor (see `allowance` below).
   {
-    const bool metrics_before = telemetry::metrics_enabled();
     const bool trace_before = telemetry::trace_enabled();
-    telemetry::Registry::global().reset_values();
     telemetry::TraceSink::global().clear();
     constexpr std::size_t kReps = 3;
     constexpr std::size_t kFleet = 4;
-    std::uint64_t delivered_stats = 0;  // JobStats sum over the traced reps
-    auto fleet_ms = [&](bool count_delivered) {
+    service::StatsSnapshot traced_snapshot;  // the last traced rep's server
+    auto fleet_ms = [&](bool traced) {
+      telemetry::set_trace_enabled(traced);
       service::Server server({.n_workers = 2});
       const util::Timer timer;
       std::vector<service::JobHandle> handles;
@@ -706,25 +702,21 @@ int main(int argc, char** argv) {
       }
       for (const service::JobHandle& handle : handles) {
         (void)handle.wait();
-        if (count_delivered) delivered_stats += handle.stats().delivered;
         handle.stream().cancel();  // undelivered tail is not the subject
       }
-      return timer.milliseconds();
+      const double ms = timer.milliseconds();
+      if (traced) traced_snapshot = server.stats_snapshot();
+      return ms;
     };
     double off_min = std::numeric_limits<double>::infinity();
     double off_max = 0.0;
     double on_min = std::numeric_limits<double>::infinity();
     for (std::size_t rep = 0; rep < kReps; ++rep) {
-      telemetry::set_metrics_enabled(false);
-      telemetry::set_trace_enabled(false);
-      const double off = fleet_ms(/*count_delivered=*/false);
+      const double off = fleet_ms(/*traced=*/false);
       off_min = std::min(off_min, off);
       off_max = std::max(off_max, off);
-      telemetry::set_metrics_enabled(true);
-      telemetry::set_trace_enabled(true);
-      on_min = std::min(on_min, fleet_ms(/*count_delivered=*/true));
+      on_min = std::min(on_min, fleet_ms(/*traced=*/true));
     }
-    telemetry::set_metrics_enabled(metrics_before);
     telemetry::set_trace_enabled(trace_before);
     const double overhead_pct =
         off_min > 0.0 ? 100.0 * (on_min - off_min) / off_min : 0.0;
@@ -735,19 +727,13 @@ int main(int argc, char** argv) {
     const double allowance =
         off_min * 0.02 + std::max(2.0, off_max - off_min);
 
-    // The enabled runs populated the registry: export the percentile view
-    // an operator would read off the slice-duration histogram, and
-    // cross-check the delivered counter against the fleet's own JobStats.
-    telemetry::Registry& registry = telemetry::Registry::global();
-    telemetry::Histogram& slice_hist = registry.histogram(
-        "hts_scheduler_slice_ms",
-        {0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0});
+    // The percentile view an operator would read off the slice-duration
+    // histogram of the last traced server.
+    const telemetry::Histogram& slice_hist = traced_snapshot.slice_ms;
     const double slice_p50 = slice_hist.percentile(50.0);
     const double slice_p99 = slice_hist.percentile(99.0);
-    const std::uint64_t delivered_metric =
-        registry.counter("hts_stream_delivered_total").value();
 
-    std::printf("\ntelemetry overhead (fixed work, min of %zu): off %.1f ms "
+    std::printf("\ntracing overhead (fixed work, min of %zu): off %.1f ms "
                 "(spread %.1f), on %.1f ms -> %+.2f%% (bar: <= 2%% + noise "
                 "floor); slice p50 %.2f ms, p99 %.2f ms\n",
                 kReps, off_min, off_max - off_min, on_min, overhead_pct,
@@ -766,24 +752,15 @@ int main(int argc, char** argv) {
           .field("slice_p50_ms", slice_p50)
           .field("slice_p99_ms", slice_p99)
           .field("slice_count", slice_hist.count())
-          .field("delivered_metric", delivered_metric)
-          .field("delivered_stats", delivered_stats)
           .field("trace_dropped", telemetry::TraceSink::global().dropped());
       json.add(record);
     }
     bool ok = true;
     if (on_min > off_min + allowance) {
-      std::fprintf(stderr, "[service_throughput] FAIL: telemetry-on run took "
+      std::fprintf(stderr, "[service_throughput] FAIL: traced run took "
                            "%.1f ms vs %.1f ms off (bar: +2%% + %.1f ms "
                            "noise floor)\n",
                    on_min, off_min, std::max(2.0, off_max - off_min));
-      ok = false;
-    }
-    if (delivered_metric != delivered_stats) {
-      std::fprintf(stderr, "[service_throughput] FAIL: delivered counter %llu "
-                           "!= JobStats sum %llu\n",
-                   static_cast<unsigned long long>(delivered_metric),
-                   static_cast<unsigned long long>(delivered_stats));
       ok = false;
     }
     if (!trace_path.empty() &&

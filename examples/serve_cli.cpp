@@ -16,13 +16,14 @@
 // 'compile:every=3;slice:every=5:kind=transient') so the failure paths in
 // the table below can be exercised from the command line.
 //
-// Observability: --metrics enables the telemetry registry and, after the
-// fleet drains, emits the Prometheus text exposition (to FILE when the next
-// argument names one, else to stdout); --trace FILE enables per-job span
-// tracing and writes a Chrome trace-event JSON loadable in Perfetto (one
-// track per worker, one async track per job covering submit -> finalize).
-// Both flags must take effect before the Server is constructed, and neither
-// perturbs the sampled streams (see README "Observability").
+// Observability: --metrics prints, after the fleet drains, the server's
+// metrics in the Prometheus text exposition (to FILE when the next argument
+// names one, else to stdout); it arms nothing, since the server builds its
+// metrics from the counters it keeps anyway.  --trace FILE enables per-job
+// span tracing before the Server is constructed and writes a Chrome
+// trace-event JSON loadable in Perfetto (one track per worker, one async
+// track per job covering submit -> finalize).  Neither perturbs the
+// sampled streams (see README "Observability").
 //
 // Each non-comment line of the jobspec file is one request:
 //
@@ -48,7 +49,6 @@
 #include "benchgen/families.hpp"
 #include "cnf/dimacs.hpp"
 #include "service/server.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/table.hpp"
 
@@ -145,9 +145,8 @@ int main(int argc, char** argv) {
       spec_path = arg;
     }
   }
-  // Enable telemetry before the Server (and its workers) exist so every
-  // record site sees the flag from the first slice on.
-  if (metrics) telemetry::set_metrics_enabled(true);
+  // Enable tracing before the Server (and its workers) exist so every span
+  // site sees the flag from the first slice on.
   if (!trace_path.empty()) telemetry::set_trace_enabled(true);
 
   std::vector<JobSpec> specs;

@@ -43,7 +43,6 @@
 #include "cnf/types.hpp"
 #include "core/gd_loop.hpp"
 #include "core/harvester.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/timer.hpp"
 
@@ -114,28 +113,13 @@ class Amplifier {
     if (config_.max_bases_per_collect > 0) {
       limit = std::min(limit, config_.max_bases_per_collect);
     }
-    const std::uint64_t candidates_before = amplified_candidates_;
-    const std::uint64_t uniques_before = amplified_uniques_;
     for (std::size_t b = 0; b < limit; ++b) {
       if (harvester_.options().stop.stop_requested()) break;
       amplify_base(bases_.data() + b * key_words_);
     }
     bases_.clear();
     amplify_ms_ += timer.milliseconds();
-    if (limit == 0) return;  // nothing fresh to amplify: no events, no cells
-    // Telemetry is delta-based reads of the counters above — never a write
-    // the sampling path observes, so amplified streams stay bit-identical.
-    if (telemetry::metrics_enabled()) {
-      telemetry::Registry& reg = telemetry::Registry::global();
-      static telemetry::Histogram& wave_rows = reg.histogram(
-          "hts_amplify_wave_rows",
-          {64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0});
-      static telemetry::Counter& survivors =
-          reg.counter("hts_amplify_survivors_total");
-      wave_rows.observe(
-          static_cast<double>(amplified_candidates_ - candidates_before));
-      survivors.add(amplified_uniques_ - uniques_before);
-    }
+    if (limit == 0) return;  // nothing fresh to amplify: no span
     if (telemetry::trace_enabled()) {
       telemetry::TraceSink::global().complete("amplify", "gd",
                                               timer.start_ns(),

@@ -41,7 +41,6 @@
 #include "circuit/eval_plan.hpp"
 #include "core/gd_loop.hpp"
 #include "core/unique_bank.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -197,21 +196,8 @@ class Harvester {
     // stored-solution order match the historical single-thread walk exactly.
     accept_words(packed, n_words, n_proj, solved_mask_.data(), proj_.data(),
                  /*record_fresh=*/true);
-    const bool validated = evaluated.load(std::memory_order_relaxed);
-    if (validated) rows_validated_ += batch;
+    if (evaluated.load(std::memory_order_relaxed)) rows_validated_ += batch;
     harvest_ms_ += harvest_timer.milliseconds();
-    // Telemetry mirrors the stats above from the same timer — reads only,
-    // after the accept phase, so instrumented harvests are bit-identical.
-    if (telemetry::metrics_enabled() && validated) {
-      telemetry::Registry& reg = telemetry::Registry::global();
-      static telemetry::Counter& rows =
-          reg.counter("hts_harvest_rows_validated_total");
-      static telemetry::Histogram& collect_ms = reg.histogram(
-          "hts_harvest_collect_ms",
-          {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0});
-      rows.add(batch);
-      collect_ms.observe(harvest_timer.milliseconds());
-    }
     if (telemetry::trace_enabled()) {
       telemetry::TraceSink::global().complete("harvest", "gd",
                                               harvest_timer.start_ns(),

@@ -30,7 +30,6 @@
 #include "core/harvester.hpp"
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -179,11 +178,10 @@ class RoundRunner {
   /// anyway.
   template <typename Checkpoint, typename Stop>
   void run_round(util::Rng& rng, Checkpoint&& checkpoint, Stop&& stop_now) {
-    // Telemetry reads the clock and counters only — never the RNG, never
-    // the harvest order — so instrumented and plain rounds are bit-identical.
+    // Tracing reads the clock only — never the RNG, never the harvest
+    // order — so traced and plain rounds are bit-identical.
     const bool traced = telemetry::trace_enabled();
     const std::uint64_t round_begin_ns = traced ? util::monotonic_ns() : 0;
-    const LoopCounters before = counters_;
     ++counters_.rounds;
     engine_.randomize(rng);
     if (plateau_) plateau_->begin_round();
@@ -298,14 +296,6 @@ class RoundRunner {
       }
       if (stop_now()) break;
     }
-    if (telemetry::metrics_enabled()) {
-      record_round_metrics(
-          counters_.gd_iterations - before.gd_iterations,
-          counters_.restarted_rows - before.restarted_rows,
-          counters_.plateau_restarted_rows - before.plateau_restarted_rows,
-          counters_.diversity_restarted_rows -
-              before.diversity_restarted_rows);
-    }
     if (traced) {
       telemetry::TraceSink::global().complete("gd_round", "gd", round_begin_ns,
                                               util::monotonic_ns());
@@ -338,28 +328,6 @@ class RoundRunner {
   }
 
  private:
-  /// One registry lookup per process (function-local statics), then sharded
-  /// relaxed adds; deltas are computed by run_round so a partially executed
-  /// round still bills exactly what it did.
-  static void record_round_metrics(std::uint64_t iterations,
-                                   std::uint64_t solved, std::uint64_t plateau,
-                                   std::uint64_t diversity) {
-    telemetry::Registry& reg = telemetry::Registry::global();
-    static telemetry::Counter& rounds = reg.counter("hts_gd_rounds_total");
-    static telemetry::Counter& iters = reg.counter("hts_gd_iterations_total");
-    static telemetry::Counter& restarts_solved =
-        reg.counter("hts_gd_restarts_total", {{"kind", "solved"}});
-    static telemetry::Counter& restarts_plateau =
-        reg.counter("hts_gd_restarts_total", {{"kind", "plateau"}});
-    static telemetry::Counter& restarts_diversity =
-        reg.counter("hts_gd_restarts_total", {{"kind", "diversity"}});
-    rounds.increment();
-    iters.add(iterations);
-    if (solved != 0) restarts_solved.add(solved);
-    if (plateau != 0) restarts_plateau.add(plateau);
-    if (diversity != 0) restarts_diversity.add(diversity);
-  }
-
   GdProblem problem_;
   RunOptions options_;
   GdLoopConfig config_;

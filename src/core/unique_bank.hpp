@@ -8,7 +8,8 @@
 // overcounted unique would inflate throughput).
 //
 // Two variants share the interface:
-//   UniqueBank         single-thread, zero synchronization (the serial loop).
+//   UniqueBank         single-thread, zero synchronization (the serial loop
+//                      and service jobs, which one worker holds at a time).
 //   ShardedUniqueBank  mutex-per-shard, for round-parallel workers merging
 //                      concurrently; shard selection reuses the key hash so
 //                      uncorrelated solutions spread across shards and

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "service/request.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace hts::service {
@@ -102,29 +101,13 @@ std::shared_ptr<const CompiledPlan> PlanCache::get_or_compile(
     entry->plan = std::make_shared<const CompiledPlan>(formula, options);
     entry->built.store(true, std::memory_order_release);
   }
-  const bool inflight_wait = hit && !was_built;
   {
     util::LockGuard lock(mutex_);
     if (hit) {
       ++stats_.hits;
-      if (inflight_wait) ++stats_.inflight_waits;
+      if (!was_built) ++stats_.inflight_waits;
     } else {
       ++stats_.misses;
-    }
-  }
-  if (telemetry::metrics_enabled()) {
-    telemetry::Registry& reg = telemetry::Registry::global();
-    static telemetry::Counter& hits_total =
-        reg.counter("hts_plan_cache_hits_total");
-    static telemetry::Counter& misses_total =
-        reg.counter("hts_plan_cache_misses_total");
-    static telemetry::Counter& inflight_total =
-        reg.counter("hts_plan_cache_inflight_waits_total");
-    if (hit) {
-      hits_total.increment();
-      if (inflight_wait) inflight_total.increment();
-    } else {
-      misses_total.increment();
     }
   }
   if (cache_hit != nullptr) *cache_hit = hit;
@@ -150,11 +133,6 @@ void PlanCache::evict_locked() {
     // plan keep it alive.
     entries_.erase(victim);
     ++stats_.evictions;
-    if (telemetry::metrics_enabled()) {
-      static telemetry::Counter& evictions_total =
-          telemetry::Registry::global().counter("hts_plan_cache_evictions_total");
-      evictions_total.increment();
-    }
   }
 }
 

@@ -77,7 +77,7 @@ struct SamplingRequest {
   std::size_t max_uniques = 0;
 
   /// Hard cap on the unique bank's approximate heap bytes (0 = none); see
-  /// ShardedUniqueBank::size_bytes().  Same kCapped semantics as above.
+  /// sampler::UniqueBank::size_bytes().  Same kCapped semantics as above.
   std::size_t max_bank_bytes = 0;
 
   /// Bound on the solution stream's buffered assignments (0 = unbounded).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <limits>
@@ -12,7 +13,6 @@
 
 #include "core/round_runner.hpp"
 #include "core/unique_bank.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -24,39 +24,19 @@ namespace hts::service {
 
 namespace {
 
-// ---- telemetry seams ---------------------------------------------------------
-//
-// Every record site below is gated on one relaxed load (metrics_enabled /
-// trace_enabled); the registry/sink locks are leaves (util/mutex.hpp item
-// 5), so these helpers are safe under Server::mutex_ and Job::mutex alike.
-// Telemetry only ever *reads* job state — never the RNG, never ordering —
-// so instrumented runs stream bit-identical solutions.
+// Tracing reads clocks and job state only — never the RNG, never ordering
+// — so traced runs stream bit-identical solutions.  The sink's locks are
+// leaves (util/mutex.hpp item 5), so spans may be recorded under
+// Server::mutex_ and Job::mutex alike.
 
 /// Async-track category of the per-job spans; (cat, job id) keys one
 /// Perfetto track covering submit -> finalize.
 constexpr const char* kJobCat = "job";
 
-telemetry::Gauge& queue_depth_gauge() {
-  static telemetry::Gauge& gauge =
-      telemetry::Registry::global().gauge("hts_scheduler_queue_depth");
-  return gauge;
-}
-
-void record_slice_ms(double slice_ms) {
-  static telemetry::Histogram& slice_hist =
-      telemetry::Registry::global().histogram(
-          "hts_scheduler_slice_ms",
-          {0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0});
-  slice_hist.observe(slice_ms);
-}
-
-/// Fleet-wide admission and retry counters, with no client label: registry
-/// entries live for the whole process, so a label per client_id would grow
-/// without bound.  Submit/retry frequency is scheduling-edge, so the by-name
-/// lookup is acceptable.
-void record_scheduler_event(const char* name) {
-  telemetry::Registry::global().counter(name).increment();
-}
+/// The service's fault seams, in the order their injection counts render.
+constexpr const char* kFaultSites[] = {
+    fault_sites::kCompile, fault_sites::kEngineAlloc, fault_sites::kHarvest,
+    fault_sites::kStreamPush, fault_sites::kSlice};
 
 /// Admission model constants.  Weight of the newest finished job's exec
 /// cost in the per-job cost EWMA.
@@ -65,23 +45,77 @@ constexpr double kCostEwmaAlpha = 0.2;
 /// per-round overhead than it saves.
 constexpr std::size_t kMinDegradedBatch = 64;
 
-void record_finalized(JobStatus status) {
-  telemetry::Registry::global()
-      .counter("hts_jobs_finalized_total",
-               {{"status", job_status_name(status)}})
-      .increment();
-}
-
 /// Interns an error's site string onto the static fault_sites constants so
 /// the trace event carries a stable pointer (TraceEvent names are never
 /// copied).  Unknown sites collapse onto "slice".
 const char* intern_site(const std::string& site) {
-  for (const char* known :
-       {fault_sites::kCompile, fault_sites::kEngineAlloc, fault_sites::kHarvest,
-        fault_sites::kStreamPush, fault_sites::kSlice}) {
+  for (const char* known : kFaultSites) {
     if (site == known) return known;
   }
   return fault_sites::kSlice;
+}
+
+/// The snapshot's metric list.  Each value reads one field the server, its
+/// plan cache or its fault injector already keeps (README "Observability");
+/// a family's series stay adjacent for the renderer.
+std::vector<telemetry::Metric> snapshot_metrics(
+    const StatsSnapshot& snapshot, const util::FaultInjector& injector) {
+  using Kind = telemetry::Metric::Kind;
+  std::vector<telemetry::Metric> metrics;
+  auto add = [&metrics](const char* name, double value,
+                        telemetry::Labels labels = {},
+                        Kind kind = Kind::kCounter) {
+    metrics.push_back({name, std::move(labels), kind, value, {}});
+  };
+  auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+  const ServerStats& server = snapshot.server;
+  add("hts_scheduler_queue_depth", count(snapshot.queue_depth), {},
+      Kind::kGauge);
+  add("hts_scheduler_running", count(snapshot.running), {}, Kind::kGauge);
+  add("hts_scheduler_submitted_total", count(server.submitted));
+  add("hts_scheduler_rejected_total", count(server.rejected));
+  add("hts_scheduler_retried_total", count(server.retried));
+  metrics.push_back({"hts_scheduler_slice_ms", {}, Kind::kHistogram, 0.0,
+                     snapshot.slice_ms});
+  const std::pair<JobStatus, std::uint64_t> outcomes[] = {
+      {JobStatus::kCompleted, server.completed},
+      {JobStatus::kDeadlineExpired, server.deadline_expired},
+      {JobStatus::kCancelled, server.cancelled},
+      {JobStatus::kCapped, server.capped},
+      {JobStatus::kUnsat, server.unsat},
+      {JobStatus::kFailed, server.failed},
+      {JobStatus::kRejected, server.rejected}};
+  for (const auto& [status, n] : outcomes) {
+    add("hts_jobs_finalized_total", count(n),
+        {{"status", job_status_name(status)}});
+  }
+  add("hts_plan_cache_hits_total", count(snapshot.plan_cache.hits));
+  add("hts_plan_cache_misses_total", count(snapshot.plan_cache.misses));
+  add("hts_plan_cache_evictions_total", count(snapshot.plan_cache.evictions));
+  add("hts_plan_cache_inflight_waits_total",
+      count(snapshot.plan_cache.inflight_waits));
+  const sampler::LoopCounters& jobs = server.jobs;
+  add("hts_gd_rounds_total", count(jobs.rounds));
+  add("hts_gd_iterations_total", count(jobs.gd_iterations));
+  add("hts_gd_restarts_total", count(jobs.restarted_rows),
+      {{"kind", "solved"}});
+  add("hts_gd_restarts_total", count(jobs.plateau_restarted_rows),
+      {{"kind", "plateau"}});
+  add("hts_gd_restarts_total", count(jobs.diversity_restarted_rows),
+      {{"kind", "diversity"}});
+  add("hts_harvest_rows_validated_total", count(jobs.rows_validated));
+  add("hts_harvest_ms_total", jobs.harvest_ms);
+  add("hts_amplify_candidates_total", count(jobs.amplified_candidates));
+  add("hts_amplify_survivors_total", count(jobs.amplified_uniques));
+  add("hts_stream_delivered_total", count(server.delivered));
+  add("hts_stream_stall_ms_total", server.stall_ms);
+  if (injector.armed()) {
+    for (const char* site : kFaultSites) {
+      add("hts_fault_injections_total", count(injector.injected(site)),
+          {{"site", site}});
+    }
+  }
+  return metrics;
 }
 
 }  // namespace
@@ -90,7 +124,9 @@ namespace detail {
 
 /// A job's unique bank and the round runner that fills it, built as one
 /// unit: nothing is banked before the runner exists, so a build that throws
-/// leaves nothing to keep and a retry simply builds both again.
+/// leaves nothing to keep and a retry simply builds both again.  Only the
+/// worker holding the job touches its session, and the mutex_ handoff on
+/// re-queue orders successive slices, so the bank takes no lock.
 struct Session {
   Session(const CompiledPlan& plan, sampler::GdProblem problem,
           const cnf::Formula& formula, sampler::RunOptions options,
@@ -99,8 +135,8 @@ struct Session {
         runner(*plan.compiled, *plan.eval_plan, std::move(problem), formula,
                std::move(options), config, bank) {}
 
-  sampler::ShardedUniqueBank bank;
-  sampler::RoundRunner<sampler::ShardedUniqueBank> runner;
+  sampler::UniqueBank bank;
+  sampler::RoundRunner<sampler::UniqueBank> runner;
 };
 
 /// One submitted request's full lifetime: scheduler bookkeeping, the lazily
@@ -261,6 +297,8 @@ Server::Server(ServerConfig config)
                      : std::max<std::size_t>(
                            1, std::thread::hardware_concurrency())),
       cache_(config.plan_cache_capacity),
+      slice_ms_({0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
+                 1000.0}),
       pool_(n_workers_) {
   if (config_.retry_backoff_ms < 0.0) config_.retry_backoff_ms = 0.0;
   // Arm the injector before any worker exists; a malformed spec throws out
@@ -327,9 +365,6 @@ JobHandle Server::submit(SamplingRequest request) {
         util::LockGuard jlock(job->mutex);
         job->stats.error = error;
       }
-      if (telemetry::metrics_enabled()) {
-        record_scheduler_event("hts_scheduler_rejected_total");
-      }
       if (telemetry::trace_enabled()) {
         telemetry::TraceSink::global().async_instant(
             "rejected", kJobCat, job->id, util::monotonic_ns());
@@ -338,10 +373,6 @@ JobHandle Server::submit(SamplingRequest request) {
       break;
     }
     case Outcome::kAccepted:
-      if (telemetry::metrics_enabled()) {
-        record_scheduler_event("hts_scheduler_admitted_total");
-        queue_depth_gauge().add(1);
-      }
       if (telemetry::trace_enabled()) {
         telemetry::TraceSink::global().async_begin("queue", kJobCat, job->id,
                                                    enqueue_ns);
@@ -363,11 +394,28 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
   };
 
   // A request the loop cannot run is malformed, not infeasible: reject it
-  // here rather than let the engine's batch invariant abort the process or
-  // a negative iteration count size the round's buffers.
-  if (request.config.batch == 0) return reject("config.batch must be > 0");
-  if (request.config.iterations < 0) {
-    return reject("config.iterations must be >= 0");
+  // here rather than let the engine's batch invariant abort the process, a
+  // negative iteration count size the round's buffers, or a zero or NaN
+  // step hold a worker until the deadline without converging.
+  const sampler::GradientConfig& config = request.config;
+  if (config.batch == 0) return reject("config.batch must be > 0");
+  if (config.iterations < 0) return reject("config.iterations must be >= 0");
+  auto positive = [](float x) { return std::isfinite(x) && x > 0.0f; };
+  if (!positive(config.learning_rate)) {
+    return reject("config.learning_rate must be finite and > 0");
+  }
+  if (!positive(config.init_std)) {
+    return reject("config.init_std must be finite and > 0");
+  }
+  for (const sampler::LitWeight& lit : config.lit_weights) {
+    if (!std::isfinite(lit.weight)) {
+      return reject("config.lit_weights weight must be finite");
+    }
+    if (lit.var >= request.formula.n_vars()) {
+      return reject("config.lit_weights variable " + std::to_string(lit.var) +
+                    " is not below the formula's " +
+                    std::to_string(request.formula.n_vars()) + " variables");
+    }
   }
 
   // Quotas next — they hold regardless of the feasibility switch.
@@ -467,11 +515,11 @@ StatsSnapshot Server::stats_snapshot() const {
     snapshot.server = stats_;
     snapshot.queue_depth = ready_.size();
     snapshot.running = running_.size();
+    snapshot.slice_ms = slice_ms_;
   }
   snapshot.plan_cache = cache_.stats();
-  const telemetry::Registry& registry = telemetry::Registry::global();
-  snapshot.metrics_json = registry.snapshot_json();
-  snapshot.metrics_prometheus = registry.render_prometheus();
+  snapshot.metrics_prometheus =
+      telemetry::render_prometheus(snapshot_metrics(snapshot, injector_));
   return snapshot;
 }
 
@@ -531,7 +579,6 @@ std::shared_ptr<Job> Server::pop_best_locked() {
     util::LockGuard jlock(job->mutex);
     job->stats.queue_wait_ms += job->ms_at(now_ns) - job->enqueued_at_ms;
   }
-  if (telemetry::metrics_enabled()) queue_depth_gauge().sub(1);
   if (telemetry::trace_enabled()) {
     telemetry::TraceSink::global().async_end("queue", kJobCat, job->id, now_ns);
   }
@@ -639,11 +686,6 @@ void Server::worker_loop(std::size_t worker_index) {
       job->stats.exec_ms +=
           job->ms_at(slice_end_ns) - job->ms_at(slice_begin_ns);
     }
-    if (telemetry::metrics_enabled()) {
-      record_slice_ms(static_cast<double>(slice_end_ns - slice_begin_ns) *
-                      1e-6);
-      if (retried) record_scheduler_event("hts_scheduler_retried_total");
-    }
     if (telemetry::trace_enabled()) {
       telemetry::TraceSink& sink = telemetry::TraceSink::global();
       // Worker-track view of the same interval: which worker ran the slice.
@@ -662,16 +704,17 @@ void Server::worker_loop(std::size_t worker_index) {
     {
       util::LockGuard lock(mutex_);
       running_.erase(std::find(running_.begin(), running_.end(), job));
+      slice_ms_.observe(static_cast<double>(slice_end_ns - slice_begin_ns) *
+                        1e-6);
+      if (retried) ++stats_.retried;
       if (outcome == JobStatus::kRunning) {
         const std::uint64_t requeue_ns = util::monotonic_ns();
         job->enqueued_at_ms = job->ms_at(requeue_ns);
         job->not_before_ms =
             backoff_ms > 0.0 ? job->enqueued_at_ms + backoff_ms : 0.0;
-        if (backoff_ms > 0.0) ++stats_.retried;
         job->status.store(JobStatus::kQueued, std::memory_order_release);
         ready_.push_back(job);
         requeued = true;
-        if (telemetry::metrics_enabled()) queue_depth_gauge().add(1);
         if (telemetry::trace_enabled()) {
           telemetry::TraceSink::global().async_begin("queue", kJobCat, job->id,
                                                      requeue_ns);
@@ -770,9 +813,8 @@ JobStatus Server::run_slice(Job& job) {
         request.config);
   }
   job.fail_site = fault_sites::kSlice;
-  sampler::ShardedUniqueBank& bank = job.session->bank;
-  sampler::RoundRunner<sampler::ShardedUniqueBank>& runner =
-      job.session->runner;
+  sampler::UniqueBank& bank = job.session->bank;
+  sampler::RoundRunner<sampler::UniqueBank>& runner = job.session->runner;
   std::vector<cnf::Assignment>& solutions = runner.result().solutions;
 
   auto reached_target = [&] {
@@ -866,6 +908,8 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
   // derived from the same stamp.
   const std::uint64_t finalize_ns = util::monotonic_ns();
   double exec_ms = 0.0;
+  sampler::LoopCounters counters;
+  std::uint64_t delivered = 0;
   {
     util::LockGuard jlock(job->mutex);
     JobStats& stats = job->stats;
@@ -873,6 +917,8 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
     job->publish_counters();
     if (job->session) stats.bank_bytes = job->session->bank.size_bytes();
     exec_ms = stats.exec_ms;
+    counters = static_cast<const sampler::LoopCounters&>(stats);
+    delivered = stats.delivered;
   }
   // Release the execution state (the session borrows the plan): a terminal
   // job reachable through lingering handles must not pin engine buffers or
@@ -880,6 +926,7 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
   job->session.reset();
   job->plan.reset();
   job->stream->close();
+  const double stall_ms = job->stream->stall_ms();
   // Fleet counters move before the terminal status is visible, so a client
   // that wait()s and then reads Server::stats() observes its own job.
   {
@@ -926,13 +973,15 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
       case JobStatus::kQueued:
       case JobStatus::kRunning: break;  // unreachable: finalize is terminal
     }
+    stats_.jobs += counters;
+    stats_.delivered += delivered;
+    stats_.stall_ms += stall_ms;
   }
   {
     util::LockGuard jlock(job->mutex);
     job->status.store(status, std::memory_order_release);
   }
   job->done_cv.notify_all();
-  if (telemetry::metrics_enabled()) record_finalized(status);
   if (telemetry::trace_enabled()) {
     telemetry::TraceSink& sink = telemetry::TraceSink::global();
     sink.async_instant(job_status_name(status), kJobCat, job->id, finalize_ns);

@@ -47,6 +47,7 @@
 #include "service/plan_cache.hpp"
 #include "service/request.hpp"
 #include "service/solution_stream.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/fault_injector.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -117,7 +118,9 @@ struct ServerConfig {
   std::string fault_spec = {};
 };
 
-/// Fleet-level counters (monotone over the server's lifetime).
+/// Fleet-level counters (monotone over the server's lifetime).  The job
+/// totals at the end cover terminal jobs only: finalize adds each job's
+/// final JobStats once, so a job still running shows up when it ends.
 struct ServerStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -136,21 +139,35 @@ struct ServerStats {
   std::uint64_t retried = 0;
   /// Scheduling slices executed (queue pops that ran work).
   std::uint64_t slices = 0;
+  /// Sum of the terminal jobs' loop counters (JobStats, so `rounds` counts
+  /// claimed rounds).  engine_memory_bytes and weighted_inputs mean nothing
+  /// summed across jobs.
+  sampler::LoopCounters jobs;
+  /// Sum of the terminal jobs' JobStats::delivered.
+  std::uint64_t delivered = 0;
+  /// Time the terminal jobs' workers spent blocked on a full solution
+  /// stream (SolutionStream::stall_ms).
+  double stall_ms = 0.0;
 };
 
 /// One live pull of everything the server knows about itself: fleet
-/// counters, plan-cache stats, instantaneous queue state, and the telemetry
-/// registry's two export formats.  This is the in-process surface a future
-/// network front-end serves from /metrics (ROADMAP), and what serve_cli
-/// --metrics prints.
+/// counters, plan-cache stats, instantaneous queue state, the slice-duration
+/// histogram, and all of it rendered as Prometheus text.  This is the
+/// in-process surface a future network front-end serves from /metrics, and
+/// what serve_cli --metrics prints.  Metrics are per Server and are built
+/// here, from the counters above and the fault injector's, when asked for;
+/// nothing records them as events happen.
 struct StatsSnapshot {
   ServerStats server;
   PlanCache::Stats plan_cache;
   std::size_t queue_depth = 0;
   std::size_t running = 0;
-  /// telemetry::Registry::global() renders (both formats); process-wide, so
-  /// an embedding process with several Servers sees one merged registry.
-  std::string metrics_json;
+  /// Duration in ms of every slice run so far; its count equals
+  /// server.slices once no slice is running.
+  telemetry::Histogram slice_ms;
+  /// The fields above plus FaultInjector::injected per seam, in the
+  /// Prometheus text-exposition format (README "Observability" lists each
+  /// metric and its source field).
   std::string metrics_prometheus;
 };
 
@@ -205,8 +222,8 @@ class Server {
 
   [[nodiscard]] std::size_t n_workers() const { return n_workers_; }
   [[nodiscard]] ServerStats stats() const HTS_EXCLUDES(mutex_);
-  /// Live in-process pull: fleet + cache counters, queue state, and the
-  /// telemetry registry rendered as JSON and Prometheus text.
+  /// Live in-process pull: fleet + cache counters, queue state, the slice
+  /// histogram, and their Prometheus rendering.
   [[nodiscard]] StatsSnapshot stats_snapshot() const HTS_EXCLUDES(mutex_);
   [[nodiscard]] PlanCache::Stats plan_cache_stats() const {
     return cache_.stats();
@@ -272,6 +289,7 @@ class Server {
   std::size_t workers_alive_ HTS_GUARDED_BY(mutex_) = 0;
   bool shutdown_ HTS_GUARDED_BY(mutex_) = false;
   ServerStats stats_ HTS_GUARDED_BY(mutex_);
+  telemetry::Histogram slice_ms_ HTS_GUARDED_BY(mutex_);
   /// EWMA of finished jobs' exec_ms — the admission model's cost estimate.
   double avg_job_cost_ms_ HTS_GUARDED_BY(mutex_) = 0.0;
   /// Live per-client usage for quota checks; entries erased when a

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "cnf/types.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/mutex.hpp"
 #include "util/stop_token.hpp"
 #include "util/thread_annotations.hpp"
@@ -69,42 +68,31 @@ class SolutionStream {
         if (cancelled_) return false;
         ++delivered_;
       }
-      if (telemetry::metrics_enabled()) record_delivered();
       callback_(assignment);
       return true;
     }
-    // Backpressure stall time is measured from the first full-buffer check
-    // to the push (or drop), on the process monotonic clock; recorded after
-    // mutex_ is released so the metric path never runs under the stream lock.
+    // Backpressure stall time runs from the first full-buffer check to the
+    // push (or drop), on the process monotonic clock; only a push that
+    // finds the buffer full reads the clock.
     double stall_begin_ms = -1.0;
-    bool pushed = false;
-    {
-      util::LockGuard lock(mutex_);
-      while (capacity_ != 0 && queue_.size() >= capacity_ && !cancelled_ &&
-             !closed_) {
-        if (stop.stop_requested()) break;
-        if (stall_begin_ms < 0.0 && telemetry::metrics_enabled()) {
-          stall_begin_ms = util::monotonic_ms();
-        }
-        // Bounded wait so a cancel or deadline that lands while we sleep is
-        // noticed promptly even if no consumer ever wakes us.
-        space_cv_.wait_for_ms(mutex_, 10.0);
-      }
-      const bool full = capacity_ != 0 && queue_.size() >= capacity_;
-      if (!cancelled_ && !closed_ && !full) {
-        queue_.push_back(std::move(assignment));
-        ++delivered_;
-        item_cv_.notify_one();
-        pushed = true;
-      }
+    util::LockGuard lock(mutex_);
+    while (capacity_ != 0 && queue_.size() >= capacity_ && !cancelled_ &&
+           !closed_) {
+      if (stop.stop_requested()) break;
+      if (stall_begin_ms < 0.0) stall_begin_ms = util::monotonic_ms();
+      // Bounded wait so a cancel or deadline that lands while we sleep is
+      // noticed promptly even if no consumer ever wakes us.
+      space_cv_.wait_for_ms(mutex_, 10.0);
     }
-    if (telemetry::metrics_enabled()) {
-      if (stall_begin_ms >= 0.0) {
-        record_stall(util::monotonic_ms() - stall_begin_ms);
-      }
-      if (pushed) record_delivered();
+    if (stall_begin_ms >= 0.0) {
+      stall_ms_ += util::monotonic_ms() - stall_begin_ms;
     }
-    return pushed;
+    const bool full = capacity_ != 0 && queue_.size() >= capacity_;
+    if (cancelled_ || closed_ || full) return false;
+    queue_.push_back(std::move(assignment));
+    ++delivered_;
+    item_cv_.notify_one();
+    return true;
   }
 
   /// No more items will be pushed (job terminal).  Wakes blocked consumers
@@ -178,6 +166,11 @@ class SolutionStream {
     util::LockGuard lock(mutex_);
     return delivered_;
   }
+  /// Milliseconds push() spent blocked on a full buffer.
+  [[nodiscard]] double stall_ms() const HTS_EXCLUDES(mutex_) {
+    util::LockGuard lock(mutex_);
+    return stall_ms_;
+  }
   [[nodiscard]] std::size_t buffered() const HTS_EXCLUDES(mutex_) {
     util::LockGuard lock(mutex_);
     return queue_.size();
@@ -185,22 +178,6 @@ class SolutionStream {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  // Telemetry seams (util/mutex.hpp lock-order item 5: the registry lock is
-  // a leaf, and these run with no stream lock held).  References resolve
-  // once per process; after that each call is a sharded relaxed add.
-  static void record_delivered() {
-    static telemetry::Counter& delivered =
-        telemetry::Registry::global().counter("hts_stream_delivered_total");
-    delivered.increment();
-  }
-  static void record_stall(double stall_ms) {
-    static telemetry::Histogram& stall =
-        telemetry::Registry::global().histogram(
-            "hts_stream_stall_ms",
-            {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});
-    stall.observe(stall_ms);
-  }
-
   const std::size_t capacity_;
   const std::function<void(const cnf::Assignment&)> callback_;
   mutable util::Mutex mutex_;
@@ -208,6 +185,7 @@ class SolutionStream {
   util::CondVar space_cv_;
   std::deque<cnf::Assignment> queue_ HTS_GUARDED_BY(mutex_);
   std::size_t delivered_ HTS_GUARDED_BY(mutex_) = 0;
+  double stall_ms_ HTS_GUARDED_BY(mutex_) = 0.0;
   bool closed_ HTS_GUARDED_BY(mutex_) = false;
   bool cancelled_ HTS_GUARDED_BY(mutex_) = false;
 };

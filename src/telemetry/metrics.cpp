@@ -2,115 +2,51 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
-#include <functional>
 #include <sstream>
 #include <system_error>
-#include <thread>
-
-#include "util/env.hpp"
 
 namespace hts::telemetry {
 
-namespace detail {
-
-namespace {
-bool env_flag(const char* name) {
-  return hts::util::env_int(name, 0) != 0;
-}
-}  // namespace
-
-// Telemetry defaults off; HTS_TELEMETRY=1 / HTS_TRACE=1 arm it at process
-// start, and embedders flip it programmatically before building a Server.
-std::atomic<bool> g_metrics_enabled{env_flag("HTS_TELEMETRY")};
-std::atomic<bool> g_trace_enabled{env_flag("HTS_TRACE")};
-
-std::size_t tls_shard() {
-  thread_local const std::size_t shard =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  return shard;
-}
-
-}  // namespace detail
-
-void set_metrics_enabled(bool on) {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
-
-void set_trace_enabled(bool on) {
-  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-}
-
 // ----------------------------------------------------------------- Histogram
-
-namespace {
-// Cells per shard, rounded up to a whole 64-byte line of u64s.
-std::size_t padded_stride(std::size_t buckets) {
-  return (buckets + 7) / 8 * 8;
-}
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
-  stride_ = padded_stride(bounds_.size() + 1);
-  // make_unique value-initializes: every cell starts at zero.
-  cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(stride_ *
-                                                          detail::kShards);
+  buckets_.assign(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double value) {
   // lower_bound: first bound >= value, i.e. Prometheus-inclusive upper
   // edges — an observation equal to a bound lands in that bound's bucket.
-  const std::size_t bucket = static_cast<std::size_t>(
+  const auto bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  const std::size_t shard = detail::tls_shard();
-  cells_[shard * stride_ + bucket].fetch_add(1, std::memory_order_relaxed);
-  sums_[shard].v.fetch_add(value, std::memory_order_relaxed);
+  ++buckets_[bucket];
+  sum_ += value;
 }
 
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
-  const std::size_t n_buckets = bounds_.size() + 1;
-  for (std::size_t s = 0; s < detail::kShards; ++s)
-    for (std::size_t b = 0; b < n_buckets; ++b)
-      total += cells_[s * stride_ + b].load(std::memory_order_relaxed);
+  for (const std::uint64_t b : buckets_) total += b;
   return total;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const SumCell& c : sums_) total += c.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (std::size_t s = 0; s < detail::kShards; ++s)
-    for (std::size_t b = 0; b < out.size(); ++b)
-      out[b] += cells_[s * stride_ + b].load(std::memory_order_relaxed);
-  return out;
 }
 
 double Histogram::percentile(double p) const {
-  const std::vector<std::uint64_t> buckets = bucket_counts();
-  std::uint64_t total = 0;
-  for (std::uint64_t b : buckets) total += b;
+  const std::uint64_t total = count();
   if (total == 0) return 0.0;
   const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
                       static_cast<double>(total);
   std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b] == 0) continue;
-    const std::uint64_t next = cumulative + buckets[b];
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    if (buckets_[b] == 0) continue;
+    const std::uint64_t next = cumulative + buckets_[b];
     if (static_cast<double>(next) >= rank) {
       const double lo = b == 0 ? 0.0 : bounds_[b - 1];
       if (b >= bounds_.size()) return lo;  // +inf bucket: report its edge
       const double hi = bounds_[b];
       const double within =
           (rank - static_cast<double>(cumulative)) /
-          static_cast<double>(buckets[b]);
+          static_cast<double>(buckets_[b]);
       return lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
     }
     cumulative = next;
@@ -118,27 +54,9 @@ double Histogram::percentile(double p) const {
   return bounds_.empty() ? 0.0 : bounds_.back();
 }
 
-void Histogram::reset() {
-  const std::size_t n = stride_ * detail::kShards;
-  for (std::size_t i = 0; i < n; ++i)
-    cells_[i].store(0, std::memory_order_relaxed);
-  for (SumCell& c : sums_) c.v.store(0.0, std::memory_order_relaxed);
-}
-
-// ------------------------------------------------------------------ Registry
+// ---------------------------------------------------------------- Prometheus
 
 namespace {
-
-std::string entry_key(const std::string& name, const Labels& labels) {
-  std::string key = name;
-  for (const auto& [k, v] : labels) {
-    key += '\x1f';
-    key += k;
-    key += '\x1e';
-    key += v;
-  }
-  return key;
-}
 
 /// Prometheus label-value escaping: backslash, double-quote, newline.
 std::string escape_label(const std::string& v) {
@@ -173,17 +91,9 @@ std::string render_labels(const Labels& labels) {
   return out;
 }
 
-/// Like render_labels but with one extra label appended (histogram `le`).
-std::string render_labels_plus(const Labels& labels, const std::string& key,
-                               const std::string& value) {
-  Labels extended = labels;
-  extended.emplace_back(key, value);
-  return render_labels(extended);
-}
-
 std::string format_double(double v) {
-  // Shortest round-trip representation: "0.1" stays "0.1" in `le` labels
-  // and JSON, not "0.10000000000000001".
+  // Shortest round-trip representation: "0.1" stays "0.1" in `le` labels,
+  // not "0.10000000000000001".
   char buf[64];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   if (ec != std::errc()) {
@@ -193,183 +103,40 @@ std::string format_double(double v) {
   return std::string(buf, end);
 }
 
-std::string json_escape(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-Registry& Registry::global() {
-  static Registry* instance = new Registry();  // leaked by design
-  return *instance;
-}
-
-Counter& Registry::counter(const std::string& name, const Labels& labels) {
-  util::LockGuard lock(mutex_);
-  Entry& e = entries_[entry_key(name, labels)];
-  if (!e.counter) {
-    e.name = name;
-    e.labels = labels;
-    e.counter = std::make_unique<Counter>();
-  }
-  return *e.counter;
-}
-
-Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
-  util::LockGuard lock(mutex_);
-  Entry& e = entries_[entry_key(name, labels)];
-  if (!e.gauge) {
-    e.name = name;
-    e.labels = labels;
-    e.gauge = std::make_unique<Gauge>();
-  }
-  return *e.gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds,
-                               const Labels& labels) {
-  util::LockGuard lock(mutex_);
-  Entry& e = entries_[entry_key(name, labels)];
-  if (!e.histogram) {
-    e.name = name;
-    e.labels = labels;
-    e.histogram = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *e.histogram;
-}
-
-std::vector<MetricSnapshot> Registry::snapshot() const {
-  util::LockGuard lock(mutex_);
-  std::vector<MetricSnapshot> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    (void)key;
-    MetricSnapshot s;
-    s.name = e.name;
-    s.labels = e.labels;
-    if (e.counter) {
-      s.kind = MetricSnapshot::Kind::kCounter;
-      s.value = static_cast<double>(e.counter->value());
-    } else if (e.gauge) {
-      s.kind = MetricSnapshot::Kind::kGauge;
-      s.value = static_cast<double>(e.gauge->value());
-    } else if (e.histogram) {
-      s.kind = MetricSnapshot::Kind::kHistogram;
-      s.count = e.histogram->count();
-      s.sum = e.histogram->sum();
-      s.bounds = e.histogram->bounds();
-      s.buckets = e.histogram->bucket_counts();
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::string Registry::snapshot_json() const {
-  const std::vector<MetricSnapshot> metrics = snapshot();
+std::string render_prometheus(const std::vector<Metric>& metrics) {
   std::ostringstream out;
-  out << "{\"metrics\":[";
-  bool first = true;
-  for (const MetricSnapshot& m : metrics) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"name\":\"" << json_escape(m.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : m.labels) {
-      if (!first_label) out << ',';
-      first_label = false;
-      out << '"' << json_escape(k) << "\":\"" << json_escape(v) << '"';
-    }
-    out << "},";
-    switch (m.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out << "\"type\":\"counter\",\"value\":" << format_double(m.value);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        out << "\"type\":\"gauge\",\"value\":" << format_double(m.value);
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        out << "\"type\":\"histogram\",\"count\":" << m.count
-            << ",\"sum\":" << format_double(m.sum) << ",\"bounds\":[";
-        for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-          if (i != 0) out << ',';
-          out << format_double(m.bounds[i]);
-        }
-        out << "],\"buckets\":[";
-        for (std::size_t i = 0; i < m.buckets.size(); ++i) {
-          if (i != 0) out << ',';
-          out << m.buckets[i];
-        }
-        out << ']';
-        break;
-      }
-    }
-    out << '}';
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::string Registry::render_prometheus() const {
-  const std::vector<MetricSnapshot> metrics = snapshot();
-  std::ostringstream out;
-  std::string last_typed;  // one # TYPE line per metric family
-  for (const MetricSnapshot& m : metrics) {
-    const char* type = m.kind == MetricSnapshot::Kind::kCounter   ? "counter"
-                       : m.kind == MetricSnapshot::Kind::kGauge   ? "gauge"
-                                                                  : "histogram";
-    if (m.name != last_typed) {
+  const std::string* last_typed = nullptr;  // one # TYPE line per family
+  for (const Metric& m : metrics) {
+    const char* type = m.kind == Metric::Kind::kCounter ? "counter"
+                       : m.kind == Metric::Kind::kGauge ? "gauge"
+                                                        : "histogram";
+    if (last_typed == nullptr || m.name != *last_typed) {
       out << "# TYPE " << m.name << ' ' << type << '\n';
-      last_typed = m.name;
+      last_typed = &m.name;
     }
-    switch (m.kind) {
-      case MetricSnapshot::Kind::kCounter:
-      case MetricSnapshot::Kind::kGauge:
-        out << m.name << render_labels(m.labels) << ' '
-            << format_double(m.value) << '\n';
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b < m.buckets.size(); ++b) {
-          cumulative += m.buckets[b];
-          const std::string le =
-              b < m.bounds.size() ? format_double(m.bounds[b]) : "+Inf";
-          out << m.name << "_bucket"
-              << render_labels_plus(m.labels, "le", le) << ' ' << cumulative
-              << '\n';
-        }
-        out << m.name << "_sum" << render_labels(m.labels) << ' '
-            << format_double(m.sum) << '\n';
-        out << m.name << "_count" << render_labels(m.labels) << ' '
-            << cumulative << '\n';
-        break;
-      }
+    if (m.kind != Metric::Kind::kHistogram) {
+      out << m.name << render_labels(m.labels) << ' ' << format_double(m.value)
+          << '\n';
+      continue;
     }
+    const Histogram& h = m.histogram;
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < h.buckets().size(); ++b) {
+      cumulative += h.buckets()[b];
+      Labels labels = m.labels;
+      labels.emplace_back(
+          "le", b < h.bounds().size() ? format_double(h.bounds()[b]) : "+Inf");
+      out << m.name << "_bucket" << render_labels(labels) << ' ' << cumulative
+          << '\n';
+    }
+    out << m.name << "_sum" << render_labels(m.labels) << ' '
+        << format_double(h.sum()) << '\n';
+    out << m.name << "_count" << render_labels(m.labels) << ' ' << cumulative
+        << '\n';
   }
   return out.str();
-}
-
-void Registry::reset_values() {
-  util::LockGuard lock(mutex_);
-  for (auto& [key, e] : entries_) {
-    (void)key;
-    if (e.counter) e.counter->reset();
-    if (e.gauge) e.gauge->reset();
-    if (e.histogram) e.histogram->reset();
-  }
 }
 
 }  // namespace hts::telemetry

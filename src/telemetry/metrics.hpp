@@ -1,213 +1,68 @@
 #pragma once
 
-// Process-wide metrics registry: counters, gauges, and fixed-bucket
-// histograms with thread-sharded, cache-line-padded cells aggregated on
-// read.  Hot-path writers touch one relaxed atomic in their own shard; a
-// snapshot sums the shards, so recording never contends with exporting.
+// Metric values and their Prometheus text rendering.
 //
-// Design contract (tested by tests/telemetry_test.cpp):
-//   - Recording must never perturb results: no RNG, no ordering, no lock
-//     acquisition on the record path.  All cells are plain atomics.
-//   - The disabled path costs one predictable branch: every record site in
-//     the repo is written `if (telemetry::metrics_enabled()) { ... }`, and
-//     metrics_enabled() is a single relaxed atomic<bool> load.
-//   - Metric objects are registered once by (name, static labels) and live
-//     for the process lifetime (the registry leaks by design, so record
-//     sites may run during static destruction without use-after-free).
-//
-// Export surfaces: snapshot() for in-process assertions, snapshot_json()
-// for tooling, and render_prometheus() in text-exposition format for a
-// future /metrics endpoint (see ROADMAP: network front-end).
+// Nothing here records events.  A metric is a view of a counter the code
+// already keeps for its own accounting (ServerStats, PlanCache::Stats,
+// JobStats, FaultInjector); service::Server::stats_snapshot() builds the
+// list when someone asks for it and render_prometheus() formats it.  The
+// one histogram a bench reads, the scheduler's slice duration, is a plain
+// Histogram its owner keeps under its own lock.
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
-
 namespace hts::telemetry {
 
-// ---------------------------------------------------------------- enable flag
-
-namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
-extern std::atomic<bool> g_trace_enabled;
-
-/// Index of the calling thread's shard, cached in a thread_local.  Threads
-/// hash onto kShards cells; collisions only cost contention, never
-/// correctness.
-inline constexpr std::size_t kShards = 16;
-[[nodiscard]] std::size_t tls_shard();
-}  // namespace detail
-
-/// One relaxed load — the whole cost of a disabled record site.
-[[nodiscard]] inline bool metrics_enabled() {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-void set_metrics_enabled(bool on);
-
-[[nodiscard]] inline bool trace_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
-void set_trace_enabled(bool on);
-
-// ------------------------------------------------------------------- metrics
-
-/// Monotone event count, sharded per thread.
-class Counter {
- public:
-  Counter() = default;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void add(std::uint64_t n) {
-    cells_[detail::tls_shard()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  void increment() { add(1); }
-
-  [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
-  void reset() {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, detail::kShards> cells_;
-};
-
-/// Signed instantaneous level (queue depth, in-flight jobs).  A single
-/// atomic: gauges move on scheduling edges, not per-iteration hot loops.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void add(std::int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void sub(std::int64_t n) { v_.fetch_sub(n, std::memory_order_relaxed); }
-  void set(std::int64_t n) { v_.store(n, std::memory_order_relaxed); }
-
-  [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
-  void reset() { set(0); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
+/// A label set; values must come from a fixed set (a label per client id
+/// would add one series per client ever seen).
+using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Fixed-bucket histogram: `bounds` are the inclusive upper edges of the
-/// finite buckets; one implicit +inf bucket catches the rest.  Bucket
-/// counts and the running sum are sharded like Counter cells.
+/// finite buckets (Prometheus `le`); one implicit +inf bucket catches the
+/// rest.  Plain counts with no synchronization: the owner guards it.
 class Histogram {
  public:
+  Histogram() : Histogram(std::vector<double>{}) {}
   explicit Histogram(std::vector<double> bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
 
   void observe(double value);
 
   [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  /// Aggregated per-bucket counts, bounds.size() + 1 entries (last = +inf).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
+  /// Per-bucket counts, bounds().size() + 1 entries (last = +inf).
+  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
+    return buckets_;
+  }
 
   /// Percentile in [0, 100] by linear interpolation inside the owning
   /// bucket (the +inf bucket reports its lower edge).  Returns 0 when
   /// empty.  Snapshot-grade accuracy, not exact order statistics.
   [[nodiscard]] double percentile(double p) const;
 
-  void reset();
-
  private:
   std::vector<double> bounds_;
-  // Per-shard bucket counts, shard-major, with the stride rounded up to a
-  // whole cache line so shards never false-share.
-  std::size_t stride_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
-  struct alignas(64) SumCell {
-    std::atomic<double> v{0.0};
-  };
-  std::array<SumCell, detail::kShards> sums_;
+  std::vector<std::uint64_t> buckets_;
+  double sum_ = 0.0;
 };
 
-// ------------------------------------------------------------------ registry
-
-/// A label set attached at registration time (static labels only — no
-/// per-observation labels, so the hot path never formats strings).
-using Labels = std::vector<std::pair<std::string, std::string>>;
-
-struct MetricSnapshot {
-  enum class Kind { kCounter, kGauge, kHistogram };
+/// One exported series: a counter or gauge value, or a histogram.
+struct Metric {
+  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
   std::string name;
   Labels labels;
   Kind kind = Kind::kCounter;
-  // Counter/gauge value (counters as the unsigned total, gauges signed).
-  double value = 0.0;
-  // Histogram-only fields.
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
+  double value = 0.0;   // kCounter / kGauge
+  Histogram histogram;  // kHistogram
 };
 
-/// Name + static-label keyed registry.  get-or-create is mutex-guarded and
-/// expected at setup frequency; the returned references are stable for the
-/// process lifetime, so callers cache them (typically as function-local
-/// statics or constructor-resolved members).
-class Registry {
- public:
-  /// The process-wide registry.  Leaks on purpose: record sites may run
-  /// during static destruction.
-  static Registry& global();
-
-  Counter& counter(const std::string& name, const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const Labels& labels = {});
-
-  [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
-  [[nodiscard]] std::string snapshot_json() const;
-  /// Prometheus text-exposition format (# TYPE lines, label escaping,
-  /// _bucket/_sum/_count expansion for histograms).
-  [[nodiscard]] std::string render_prometheus() const;
-
-  /// Zero every cell but keep all registrations (tests isolate scenarios
-  /// without invalidating cached references).
-  void reset_values();
-
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
- private:
-  Registry() = default;
-
-  struct Entry {
-    std::string name;
-    Labels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-
-  mutable util::Mutex mutex_;
-  // Keyed by name + serialized labels; std::map keeps export output sorted.
-  std::map<std::string, Entry> entries_ HTS_GUARDED_BY(mutex_);
-};
+/// Prometheus text-exposition format: one `# TYPE` line per run of equal
+/// names (keep a family's series adjacent), escaped label values, shortest
+/// round-trip numbers, and cumulative `_bucket{le=...}` / `_sum` / `_count`
+/// lines for histograms.
+[[nodiscard]] std::string render_prometheus(const std::vector<Metric>& metrics);
 
 }  // namespace hts::telemetry

@@ -48,6 +48,13 @@ std::string format_us(std::uint64_t ns) {
 
 }  // namespace
 
+std::atomic<bool> detail::g_trace_enabled{hts::util::env_int("HTS_TRACE", 0) !=
+                                          0};
+
+void set_trace_enabled(bool on) {
+  detail::g_trace_enabled.store(on, std::memory_order_relaxed);
+}
+
 TraceSink& TraceSink::global() {
   static TraceSink* instance = new TraceSink();  // leaked by design
   return *instance;

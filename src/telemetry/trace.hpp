@@ -9,13 +9,15 @@
 //     id = the job id), covering submit -> finalize with nested queue /
 //     compile / cache_wait / slice / deliver phases.
 //
-// Record-path contract (mirrors metrics.hpp): every site is gated on
-// telemetry::trace_enabled() (one relaxed load), event names are static
+// Record-path contract: tracing is off by default, HTS_TRACE=1 arms it at
+// process start and set_trace_enabled() at run time.  Every site is gated
+// on telemetry::trace_enabled() (one relaxed load), event names are static
 // strings (no allocation or formatting on the hot path), and recording
 // takes only the calling thread's own buffer mutex — a leaf lock, safe
 // under any of the repo's other locks (util/mutex.hpp item 5).  When a ring
 // fills the newest events are dropped and counted, never blocking.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,6 +27,16 @@
 #include "util/thread_annotations.hpp"
 
 namespace hts::telemetry {
+
+namespace detail {
+extern std::atomic<bool> g_trace_enabled;
+}  // namespace detail
+
+/// One relaxed load — the whole cost of a disabled record site.
+[[nodiscard]] inline bool trace_enabled() {
+  return detail::g_trace_enabled.load(std::memory_order_relaxed);
+}
+void set_trace_enabled(bool on);
 
 struct TraceEvent {
   enum class Phase : std::uint8_t {
@@ -45,7 +57,8 @@ struct TraceEvent {
 
 class TraceSink {
  public:
-  /// The process-wide sink.  Leaks on purpose (see Registry::global()).
+  /// The process-wide sink.  Leaks on purpose: record sites may run during
+  /// static destruction.
   static TraceSink& global();
 
   // Record paths: callers gate on telemetry::trace_enabled() first.

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "telemetry/metrics.hpp"
 #include "util/env.hpp"
 
 namespace hts::util {
@@ -178,14 +177,6 @@ void FaultInjector::fault_slow(const char* site) {
       entry.hits.fetch_add(1, std::memory_order_relaxed);
   if (!matches(entry.rule, it->first, index)) return;
   entry.injected.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::metrics_enabled()) {
-    // Label values are the bounded set of configured seam names, so the
-    // registry stays small; lookup is by-name (mutex-guarded) because this
-    // path is about to throw anyway — it is never hot.
-    telemetry::Registry::global()
-        .counter("hts_fault_injections_total", {{"site", it->first}})
-        .increment();
-  }
   const std::string what = "injected fault at " + it->first + " (hit " +
                            std::to_string(index) + ")";
   switch (entry.rule.kind) {

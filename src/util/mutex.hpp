@@ -29,13 +29,12 @@
 //      shard is held at a time and nothing is acquired under it.
 //   4. util::ThreadPool::mutex_ is a leaf: pool tasks run with no pool lock
 //      held.
-//   5. telemetry::Registry::mutex_ and telemetry::TraceSink's per-thread
-//      buffer mutexes are leaves: record sites may fire while holding any
-//      of the locks above (e.g. a trace event under Server::mutex_), and
-//      nothing is ever acquired under them.  TraceSink's drain path takes
-//      the sink registry mutex and then one buffer mutex at a time; record
-//      paths take only the calling thread's own buffer mutex, so the two
-//      never deadlock.
+//   5. telemetry::TraceSink's per-thread buffer mutexes are leaves: trace
+//      sites may fire while holding any of the locks above (e.g. a span
+//      under Server::mutex_), and nothing is ever acquired under them.
+//      TraceSink's drain path takes the sink mutex and then one buffer
+//      mutex at a time; record paths take only the calling thread's own
+//      buffer mutex, so the two never deadlock.
 
 #include <condition_variable>
 #include <chrono>

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -552,14 +553,28 @@ TEST(ServiceAdmission, InfeasibleDeadlineIsRejectedAtSubmitWithoutCompiling) {
 TEST(ServiceAdmission, ZeroBatchIsRejectedAtSubmitAndSparesItsNeighbor) {
   // Each malformed config is rejected at submit, named in the message, and
   // leaves a well-formed neighbor untouched.
-  SamplingRequest zero_batch = small_request(formula_a());
-  zero_batch.config.batch = 0;
-  SamplingRequest negative_iterations = small_request(formula_a());
-  negative_iterations.config.iterations = -1;
+  auto spoiled = [](auto&& spoil) {
+    SamplingRequest request = small_request(formula_a());
+    spoil(request.config);
+    return request;
+  };
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   const struct {
     SamplingRequest request;
     const char* field;
-  } kMalformed[] = {{zero_batch, "batch"}, {negative_iterations, "iterations"}};
+  } kMalformed[] = {
+      {spoiled([](auto& c) { c.batch = 0; }), "batch"},
+      {spoiled([](auto& c) { c.iterations = -1; }), "iterations"},
+      {spoiled([](auto& c) { c.learning_rate = 0.0f; }), "learning_rate"},
+      {spoiled([](auto& c) { c.learning_rate = kNan; }), "learning_rate"},
+      {spoiled([](auto& c) { c.init_std = 0.0f; }), "init_std"},
+      {spoiled([](auto& c) { c.init_std = -kInf; }), "init_std"},
+      {spoiled([](auto& c) { c.lit_weights = {{0, false, kInf}}; }),
+       "lit_weights"},
+      // formula_a() has 7 variables, 0..6.
+      {spoiled([](auto& c) { c.lit_weights = {{7, false, 1.0f}}; }),
+       "lit_weights"}};
   for (const auto& malformed : kMalformed) {
     Server server({.n_workers = 2});
     const JobHandle rejected = server.submit(malformed.request);

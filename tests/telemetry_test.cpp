@@ -1,20 +1,19 @@
-// Tests for the telemetry subsystem: sharded counter/histogram exactness
-// under the thread pool, snapshot-while-writing safety (the TSan CI job
-// runs this binary), Prometheus/JSON export shape, Chrome-trace event
-// well-formedness (monotone timestamps, balanced per-job async spans,
-// submit -> finalize coverage), the hard determinism contract (solution
-// streams bit-identical with telemetry on and off), the plan-cache
+// Tests for the telemetry subsystem: the plain histogram and the
+// Prometheus renderer, Chrome-trace event well-formedness (monotone
+// timestamps, balanced per-job async spans, submit -> finalize coverage),
+// the hard determinism contract (solution streams bit-identical with
+// tracing on and off), the server's metrics as a view of the counters it
+// keeps (every rendered value equals its source field), the plan-cache
 // compile-billing fix (compile_ms charged once, waiters billed as
 // cache_wait), and the chaos interplay (injected faults and retries appear
 // as trace events named after their seam).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,32 +23,24 @@
 #include "service/server.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace hts::telemetry {
 namespace {
 
-// Flags are process globals; every test that flips them restores the
-// previous state so test order never matters (and the default-off contract
-// holds for the rest of the suite).
-class TelemetryGuard {
+// The trace flag is a process global; every test that flips it restores
+// the previous state so test order never matters (and the default-off
+// contract holds for the rest of the suite).
+class TraceGuard {
  public:
-  TelemetryGuard(bool metrics, bool trace)
-      : metrics_before_(metrics_enabled()), trace_before_(trace_enabled()) {
-    set_metrics_enabled(metrics);
-    set_trace_enabled(trace);
-    Registry::global().reset_values();
+  explicit TraceGuard(bool on) : before_(trace_enabled()) {
+    set_trace_enabled(on);
     TraceSink::global().clear();
   }
-  ~TelemetryGuard() {
-    set_metrics_enabled(metrics_before_);
-    set_trace_enabled(trace_before_);
-  }
+  ~TraceGuard() { set_trace_enabled(before_); }
 
  private:
-  bool metrics_before_;
-  bool trace_before_;
+  bool before_;
 };
 
 cnf::Formula small_formula() {
@@ -76,100 +67,35 @@ std::vector<cnf::Assignment> collect_stream(const service::JobHandle& handle) {
   return solutions;
 }
 
-/// Snapshot entry lookup by metric name (first label set wins).
-const MetricSnapshot* find_metric(const std::vector<MetricSnapshot>& all,
-                                  const std::string& name) {
-  for (const MetricSnapshot& m : all) {
-    if (m.name == name) return &m;
+/// Prometheus sample lines keyed by series (`name{labels}`), comments
+/// skipped.  Values parse back exactly: the renderer prints shortest
+/// round-trip numbers.
+std::map<std::string, double> parse_samples(const std::string& text) {
+  std::map<std::string, double> samples;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    EXPECT_TRUE(samples.emplace(line.substr(0, space),
+                                std::stod(line.substr(space + 1)))
+                    .second)
+        << "series rendered twice: " << line;
   }
-  return nullptr;
+  return samples;
 }
 
-// --- registry primitives -----------------------------------------------------
+// --- histogram and renderer ---------------------------------------------------
 
-TEST(TelemetryMetrics, ConcurrentCounterAndHistogramExactness) {
-  Registry& registry = Registry::global();
-  Counter& counter = registry.counter("test_exact_total");
-  Histogram& histogram =
-      registry.histogram("test_exact_hist", {1.0, 10.0, 100.0});
-  counter.reset();
-  histogram.reset();
-
-  constexpr std::size_t kEvents = 200000;
-  util::ThreadPool pool(4);
-  pool.parallel_for(kEvents, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      counter.increment();
-      histogram.observe(static_cast<double>(i % 200));
-    }
-  });
-
-  EXPECT_EQ(counter.value(), kEvents);
-  EXPECT_EQ(histogram.count(), kEvents);
-  const std::vector<std::uint64_t> buckets = histogram.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);  // 3 finite bounds + the +inf bucket
-  // i % 200 is uniform: per cycle of 200 observations, 2 land <= 1
-  // (i = 0, 1), 9 more in (1, 10], 90 more in (10, 100], 99 above.
-  EXPECT_EQ(buckets[0], kEvents / 200 * 2);
-  EXPECT_EQ(buckets[1], kEvents / 200 * 9);
-  EXPECT_EQ(buckets[2], kEvents / 200 * 90);
-  EXPECT_EQ(buckets[3], kEvents / 200 * 99);
-  EXPECT_EQ(buckets[0] + buckets[1] + buckets[2] + buckets[3], kEvents);
-}
-
-TEST(TelemetryMetrics, SnapshotWhileWritingIsSafeAndMonotone) {
-  Registry& registry = Registry::global();
-  Counter& counter = registry.counter("test_snapshot_total");
-  Histogram& histogram = registry.histogram("test_snapshot_hist", {0.5});
-  counter.reset();
-  histogram.reset();
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 3; ++t) {
-    writers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        counter.increment();
-        histogram.observe(1.0);
-      }
-    });
-  }
-  // Concurrent snapshots must be safe (TSan pins this) and totals must be
-  // monotone: a snapshot can only ever see more events than the last.
-  std::uint64_t last_count = 0;
-  double last_value = 0.0;
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<MetricSnapshot> snap = registry.snapshot();
-    const MetricSnapshot* c = find_metric(snap, "test_snapshot_total");
-    const MetricSnapshot* h = find_metric(snap, "test_snapshot_hist");
-    ASSERT_NE(c, nullptr);
-    ASSERT_NE(h, nullptr);
-    EXPECT_GE(c->value, last_value);
-    EXPECT_GE(h->count, last_count);
-    last_value = c->value;
-    last_count = h->count;
-    (void)registry.render_prometheus();
-    (void)registry.snapshot_json();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& w : writers) w.join();
-  EXPECT_EQ(counter.value(), histogram.count());
-}
-
-TEST(TelemetryMetrics, GaugeTracksLevelAndHistogramPercentiles) {
-  Registry& registry = Registry::global();
-  Gauge& gauge = registry.gauge("test_level");
-  gauge.reset();
-  gauge.add(5);
-  gauge.sub(2);
-  EXPECT_EQ(gauge.value(), 3);
-  gauge.set(-7);
-  EXPECT_EQ(gauge.value(), -7);
-
-  Histogram& histogram =
-      registry.histogram("test_pct_hist", {10.0, 20.0, 50.0, 100.0});
-  histogram.reset();
+TEST(TelemetryMetrics, HistogramBucketsAndPercentiles) {
+  Histogram histogram({10.0, 20.0, 50.0, 100.0});
+  EXPECT_EQ(histogram.percentile(50.0), 0.0);  // empty
   for (int i = 1; i <= 100; ++i) histogram.observe(static_cast<double>(i));
+  // Edges are inclusive (value <= le): 10 lands in the first bucket.
+  EXPECT_EQ(histogram.buckets(),
+            (std::vector<std::uint64_t>{10, 10, 30, 50, 0}));
+  EXPECT_EQ(histogram.count(), 100u);
+  EXPECT_EQ(histogram.sum(), 5050.0);
   // Uniform 1..100: p50 lands in the (20, 50] bucket, p99 in (50, 100].
   EXPECT_GT(histogram.percentile(50.0), 20.0);
   EXPECT_LE(histogram.percentile(50.0), 50.0);
@@ -179,15 +105,22 @@ TEST(TelemetryMetrics, GaugeTracksLevelAndHistogramPercentiles) {
 }
 
 TEST(TelemetryMetrics, PrometheusRenderingShape) {
-  Registry& registry = Registry::global();
-  registry.counter("test_render_total", {{"client", "a\"b\\c\nd"}}).add(3);
-  registry.gauge("test_render_depth").set(2);
-  registry.histogram("test_render_ms", {0.1, 1.0}).observe(0.5);
-  const std::string text = registry.render_prometheus();
+  Histogram histogram({0.1, 1.0});
+  histogram.observe(0.5);
+  const std::vector<Metric> metrics = {
+      {"test_render_total", {{"client", "a\"b\\c\nd"}}, Metric::Kind::kCounter,
+       3.0, {}},
+      {"test_render_total", {{"client", "e"}}, Metric::Kind::kCounter, 1.0, {}},
+      {"test_render_depth", {}, Metric::Kind::kGauge, 2.0, {}},
+      {"test_render_ms", {}, Metric::Kind::kHistogram, 0.0, histogram}};
+  const std::string text = render_prometheus(metrics);
 
   EXPECT_NE(text.find("# TYPE test_render_total counter"), std::string::npos);
   EXPECT_NE(text.find("# TYPE test_render_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE test_render_ms histogram"), std::string::npos);
+  // One # TYPE line per family, however many series it has.
+  EXPECT_EQ(text.find("# TYPE test_render_total", text.find("counter")),
+            std::string::npos);
   // Label values escape backslash, quote, and newline per the exposition
   // format.
   EXPECT_NE(text.find("client=\"a\\\"b\\\\c\\nd\""), std::string::npos);
@@ -199,17 +132,14 @@ TEST(TelemetryMetrics, PrometheusRenderingShape) {
   EXPECT_NE(text.find("test_render_ms_bucket{le=\"1\"} 1"), std::string::npos);
   EXPECT_NE(text.find("test_render_ms_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
+  EXPECT_NE(text.find("test_render_ms_sum 0.5"), std::string::npos);
   EXPECT_NE(text.find("test_render_ms_count 1"), std::string::npos);
-
-  const std::string json = Registry::global().snapshot_json();
-  EXPECT_NE(json.find("\"name\":\"test_render_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos);
 }
 
 // --- trace sink --------------------------------------------------------------
 
 TEST(TelemetryTrace, EventsAreTimestampSortedAndJsonWellFormed) {
-  TelemetryGuard guard(/*metrics=*/false, /*trace=*/true);
+  TraceGuard guard(/*on=*/true);
   TraceSink& sink = TraceSink::global();
   sink.set_thread_name("main-test");
   const std::uint64_t t0 = util::monotonic_ns();
@@ -249,7 +179,7 @@ TEST(TelemetryTrace, EventsAreTimestampSortedAndJsonWellFormed) {
 // --- service integration -----------------------------------------------------
 
 TEST(TelemetryService, FleetRunEmitsMetricsAndBalancedJobSpans) {
-  TelemetryGuard guard(/*metrics=*/true, /*trace=*/true);
+  TraceGuard guard(/*on=*/true);
   constexpr std::size_t kJobs = 4;
   std::vector<service::JobHandle> handles;
   {
@@ -257,44 +187,26 @@ TEST(TelemetryService, FleetRunEmitsMetricsAndBalancedJobSpans) {
     for (std::size_t j = 0; j < kJobs; ++j) {
       handles.push_back(server.submit(small_request(20, 100 + j)));
     }
+    std::uint64_t delivered = 0;
     for (const service::JobHandle& handle : handles) {
       EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted);
+      delivered += handle.stats().delivered;
     }
 
     // Live pull: the snapshot's Prometheus text cross-checks JobStats.
     const service::StatsSnapshot snapshot = server.stats_snapshot();
     EXPECT_EQ(snapshot.server.completed, kJobs);
     EXPECT_EQ(snapshot.queue_depth, 0u);
-    EXPECT_NE(snapshot.metrics_prometheus.find("hts_scheduler_slice_ms"),
-              std::string::npos);
-    EXPECT_NE(snapshot.metrics_json.find("hts_plan_cache_hits_total"),
-              std::string::npos);
+    const std::map<std::string, double> samples =
+        parse_samples(snapshot.metrics_prometheus);
+    EXPECT_GE(samples.at("hts_scheduler_slice_ms_count"), kJobs);
+    EXPECT_EQ(samples.at("hts_jobs_finalized_total{status=\"completed\"}"),
+              kJobs);
+    EXPECT_EQ(samples.at("hts_jobs_finalized_total{status=\"failed\"}"), 0.0);
+    EXPECT_EQ(samples.at("hts_stream_delivered_total"), delivered);
+    EXPECT_GT(samples.at("hts_gd_rounds_total"), 0.0);
+    EXPECT_EQ(samples.at("hts_scheduler_queue_depth"), 0.0);
   }
-
-  const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
-  const MetricSnapshot* slices = find_metric(snap, "hts_scheduler_slice_ms");
-  ASSERT_NE(slices, nullptr);
-  EXPECT_GE(slices->count, kJobs);  // every job ran at least one slice
-  const MetricSnapshot* delivered =
-      find_metric(snap, "hts_stream_delivered_total");
-  ASSERT_NE(delivered, nullptr);
-  std::uint64_t delivered_stats = 0;
-  for (const service::JobHandle& handle : handles) {
-    delivered_stats += handle.stats().delivered;
-  }
-  EXPECT_EQ(static_cast<std::uint64_t>(delivered->value), delivered_stats);
-  const MetricSnapshot* rounds = find_metric(snap, "hts_gd_rounds_total");
-  ASSERT_NE(rounds, nullptr);
-  EXPECT_GT(rounds->value, 0.0);
-  const MetricSnapshot* finalized =
-      find_metric(snap, "hts_jobs_finalized_total");
-  ASSERT_NE(finalized, nullptr);
-  EXPECT_EQ(finalized->labels,
-            Labels({{"status", "completed"}}));
-  EXPECT_EQ(static_cast<std::uint64_t>(finalized->value), kJobs);
-  const MetricSnapshot* depth = find_metric(snap, "hts_scheduler_queue_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->value, 0.0);  // every enqueue was matched by a pop
 
   // Per-job async tracks: balanced nesting, "job" covers submit -> finalize.
   const std::vector<TraceEvent> events = TraceSink::global().snapshot_events();
@@ -331,7 +243,7 @@ TEST(TelemetryService, FleetRunEmitsMetricsAndBalancedJobSpans) {
   EXPECT_EQ(TraceSink::global().dropped(), 0u);
 }
 
-TEST(TelemetryService, StreamsBitIdenticalWithTelemetryOnAndOff) {
+TEST(TelemetryService, StreamsBitIdenticalWithTracingOnAndOff) {
   constexpr std::size_t kJobs = 3;
   auto run_fleet = [&] {
     std::vector<std::vector<cnf::Assignment>> streams(kJobs);
@@ -349,16 +261,16 @@ TEST(TelemetryService, StreamsBitIdenticalWithTelemetryOnAndOff) {
 
   std::vector<std::vector<cnf::Assignment>> off_streams;
   {
-    TelemetryGuard guard(/*metrics=*/false, /*trace=*/false);
+    TraceGuard guard(/*on=*/false);
     off_streams = run_fleet();
   }
   std::vector<std::vector<cnf::Assignment>> on_streams;
   {
-    TelemetryGuard guard(/*metrics=*/true, /*trace=*/true);
+    TraceGuard guard(/*on=*/true);
     on_streams = run_fleet();
   }
-  // The hard contract: telemetry reads clocks and counters, never RNG or
-  // ordering, so each job's delivered stream is bit-identical.
+  // The hard contract: tracing reads clocks, never RNG or ordering, so
+  // each job's delivered stream is bit-identical.
   for (std::size_t j = 0; j < kJobs; ++j) {
     EXPECT_FALSE(off_streams[j].empty());
     EXPECT_EQ(off_streams[j], on_streams[j]) << "job " << j;
@@ -366,51 +278,160 @@ TEST(TelemetryService, StreamsBitIdenticalWithTelemetryOnAndOff) {
 }
 
 TEST(TelemetryService, DisabledTelemetryRecordsNothing) {
-  TelemetryGuard guard(/*metrics=*/false, /*trace=*/false);
+  TraceGuard guard(/*on=*/false);
   {
     service::Server server({.n_workers = 2});
     const service::JobHandle handle = server.submit(small_request());
     EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted);
   }
-  for (const MetricSnapshot& m : Registry::global().snapshot()) {
-    if (m.name.rfind("hts_", 0) != 0) continue;  // test-local metrics
-    EXPECT_EQ(m.value, 0.0) << m.name;
-    EXPECT_EQ(m.count, 0u) << m.name;
-  }
   EXPECT_TRUE(TraceSink::global().snapshot_events().empty());
 }
 
 TEST(TelemetryService, SchedulerCountersDoNotGrowPerClient) {
-  // Registry entries live for the whole process, so a per-client label
-  // would grow one entry per client_id ever seen; the fleet totals carry
-  // no client label.
-  TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
+  // The fleet totals carry no client label: a label per client_id would
+  // render one series per client ever seen.
   constexpr std::uint64_t kClients = 64;
-  {
-    service::Server server({.n_workers = 2});
-    std::vector<service::JobHandle> handles;
-    for (std::uint64_t client = 0; client < kClients; ++client) {
-      service::SamplingRequest request = small_request(5, 1000 + client);
-      request.client_id = client;
-      handles.push_back(server.submit(std::move(request)));
-    }
-    for (const service::JobHandle& handle : handles) {
-      EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted);
+  service::Server server({.n_workers = 2});
+  std::vector<service::JobHandle> handles;
+  for (std::uint64_t client = 0; client < kClients; ++client) {
+    service::SamplingRequest request = small_request(5, 1000 + client);
+    request.client_id = client;
+    handles.push_back(server.submit(std::move(request)));
+  }
+  for (const service::JobHandle& handle : handles) {
+    EXPECT_EQ(handle.wait(), service::JobStatus::kCompleted);
+  }
+  const std::string text = server.stats_snapshot().metrics_prometheus;
+  std::istringstream in(text);
+  std::string line;
+  std::vector<std::string> submitted;
+  while (std::getline(in, line)) {
+    if (line.rfind("hts_scheduler_submitted_total", 0) == 0) {
+      submitted.push_back(line);
     }
   }
-  std::size_t entries = 0;
-  double admitted = 0.0;
-  for (const MetricSnapshot& m : Registry::global().snapshot()) {
-    if (m.name != "hts_scheduler_admitted_total") continue;
-    ++entries;
-    admitted += m.value;
+  ASSERT_EQ(submitted.size(), 1u) << text;
+  EXPECT_EQ(submitted[0], "hts_scheduler_submitted_total 64");
+  EXPECT_EQ(text.find("client"), std::string::npos);
+}
+
+TEST(TelemetryService, RenderedMetricsEqualTheirSources) {
+  // A 2-worker fleet with plain, projected, amplified and fault-retried
+  // jobs plus one rejected request.  Once every job is terminal, each
+  // rendered series must equal the field it reads: the terminal jobs'
+  // JobStats sums, ServerStats, PlanCache::Stats and FaultInjector.
+  service::ServerConfig config{.n_workers = 2};
+  config.plan_cache_capacity = 1;  // the second formula evicts the first
+  config.fault_spec = "slice:at=1:kind=transient;stream_push:at=3:kind=transient";
+  config.retry_backoff_ms = 1.0;
+  service::Server server(std::move(config));
+  std::vector<service::JobHandle> handles;
+  // The plain job runs alone first, so its plan is built before the
+  // amplified job's formula arrives and evicts it.
+  handles.push_back(server.submit(small_request(20, 1)));
+  ASSERT_EQ(handles[0].wait(), service::JobStatus::kCompleted);
+  service::SamplingRequest projected = small_request(3, 2);
+  projected.sampling_set = {0, 1, 2};
+  projected.config.diversity_restart = true;
+  handles.push_back(server.submit(std::move(projected)));
+  service::SamplingRequest amplified = small_request(30, 3);
+  amplified.formula =
+      cnf::parse_dimacs_string("p cnf 8 2\n1 2 3 0\n-4 5 0\n");
+  amplified.config.amplify.enabled = true;
+  handles.push_back(server.submit(std::move(amplified)));
+  service::SamplingRequest rejected = small_request();
+  rejected.config.batch = 0;
+  handles.push_back(server.submit(std::move(rejected)));
+
+  sampler::LoopCounters jobs;
+  std::uint64_t delivered = 0;
+  double stall_ms = 0.0;
+  std::uint64_t retries = 0;
+  for (const service::JobHandle& handle : handles) {
+    (void)handle.wait();
+    const service::JobStats stats = handle.stats();
+    jobs += stats;
+    delivered += stats.delivered;
+    stall_ms += handle.stream().stall_ms();
+    retries += stats.retries;
   }
-  EXPECT_EQ(entries, 1u);
-  EXPECT_EQ(admitted, static_cast<double>(kClients));
+  const service::StatsSnapshot snapshot = server.stats_snapshot();
+  const service::ServerStats& fleet = snapshot.server;
+  const service::PlanCache::Stats& cache = snapshot.plan_cache;
+  const util::FaultInjector& injector = server.fault_injector();
+  // The workload reached every path it is meant to cover.
+  EXPECT_EQ(fleet.completed, 3u);
+  EXPECT_EQ(fleet.rejected, 1u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(jobs.amplified_uniques, 0u);
+  EXPECT_GT(cache.evictions, 0u);
+  // Sums of doubles depend on the order finalize added them in.
+  EXPECT_DOUBLE_EQ(fleet.jobs.harvest_ms, jobs.harvest_ms);
+  EXPECT_DOUBLE_EQ(fleet.stall_ms, stall_ms);
+
+  auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+  const std::map<std::string, double> expected = {
+      {"hts_scheduler_queue_depth", 0.0},
+      {"hts_scheduler_running", 0.0},
+      {"hts_scheduler_submitted_total", n(handles.size())},
+      {"hts_scheduler_rejected_total", n(fleet.rejected)},
+      {"hts_scheduler_retried_total", n(retries)},
+      {"hts_jobs_finalized_total{status=\"completed\"}", n(fleet.completed)},
+      {"hts_jobs_finalized_total{status=\"deadline\"}",
+       n(fleet.deadline_expired)},
+      {"hts_jobs_finalized_total{status=\"cancelled\"}", n(fleet.cancelled)},
+      {"hts_jobs_finalized_total{status=\"capped\"}", n(fleet.capped)},
+      {"hts_jobs_finalized_total{status=\"unsat\"}", n(fleet.unsat)},
+      {"hts_jobs_finalized_total{status=\"failed\"}", n(fleet.failed)},
+      {"hts_jobs_finalized_total{status=\"rejected\"}", n(fleet.rejected)},
+      {"hts_plan_cache_hits_total", n(cache.hits)},
+      {"hts_plan_cache_misses_total", n(cache.misses)},
+      {"hts_plan_cache_evictions_total", n(cache.evictions)},
+      {"hts_plan_cache_inflight_waits_total", n(cache.inflight_waits)},
+      {"hts_gd_rounds_total", n(jobs.rounds)},
+      {"hts_gd_iterations_total", n(jobs.gd_iterations)},
+      {"hts_gd_restarts_total{kind=\"solved\"}", n(jobs.restarted_rows)},
+      {"hts_gd_restarts_total{kind=\"plateau\"}",
+       n(jobs.plateau_restarted_rows)},
+      {"hts_gd_restarts_total{kind=\"diversity\"}",
+       n(jobs.diversity_restarted_rows)},
+      {"hts_harvest_rows_validated_total", n(jobs.rows_validated)},
+      {"hts_harvest_ms_total", fleet.jobs.harvest_ms},
+      {"hts_amplify_candidates_total", n(jobs.amplified_candidates)},
+      {"hts_amplify_survivors_total", n(jobs.amplified_uniques)},
+      {"hts_stream_delivered_total", n(delivered)},
+      {"hts_stream_stall_ms_total", fleet.stall_ms},
+      {"hts_fault_injections_total{site=\"compile\"}",
+       n(injector.injected(service::fault_sites::kCompile))},
+      {"hts_fault_injections_total{site=\"engine_alloc\"}",
+       n(injector.injected(service::fault_sites::kEngineAlloc))},
+      {"hts_fault_injections_total{site=\"harvest\"}",
+       n(injector.injected(service::fault_sites::kHarvest))},
+      {"hts_fault_injections_total{site=\"stream_push\"}",
+       n(injector.injected(service::fault_sites::kStreamPush))},
+      {"hts_fault_injections_total{site=\"slice\"}",
+       n(injector.injected(service::fault_sites::kSlice))},
+      {"hts_scheduler_slice_ms_count", n(fleet.slices)},
+      {"hts_scheduler_slice_ms_bucket{le=\"+Inf\"}", n(fleet.slices)},
+      {"hts_scheduler_slice_ms_sum", snapshot.slice_ms.sum()},
+  };
+  const std::map<std::string, double> samples =
+      parse_samples(snapshot.metrics_prometheus);
+  for (const auto& [series, value] : expected) {
+    const auto it = samples.find(series);
+    ASSERT_NE(it, samples.end()) << series;
+    EXPECT_EQ(it->second, value) << series;
+  }
+  // Nothing else is rendered but the slice histogram's finite buckets.
+  for (const auto& [series, value] : samples) {
+    if (expected.count(series) == 0) {
+      EXPECT_EQ(series.rfind("hts_scheduler_slice_ms_bucket{le=", 0), 0u)
+          << series;
+    }
+  }
 }
 
 TEST(TelemetryService, CompileBilledOnceWaitersBilledAsCacheWait) {
-  TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
   // 8 jobs, one shared formula/options key: exactly one request compiles,
   // the other seven hit (some as in-flight waiters).  The compile cost must
   // be charged exactly once — waiters bill the blocked time as cache_wait,
@@ -443,14 +464,9 @@ TEST(TelemetryService, CompileBilledOnceWaitersBilledAsCacheWait) {
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.hits, kJobs - 1);
   EXPECT_LE(cache.inflight_waits, cache.hits);
-  const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
-  const MetricSnapshot* hits = find_metric(snap, "hts_plan_cache_hits_total");
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(hits->value), cache.hits);
 }
 
 TEST(TelemetryService, BackpressureStallIsMeasured) {
-  TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
   service::Server server({.n_workers = 1});
   service::SamplingRequest request = small_request(10, 99);
   request.stream_capacity = 1;  // force the producer to wait on the consumer
@@ -462,20 +478,13 @@ TEST(TelemetryService, BackpressureStallIsMeasured) {
   // Delivery is everything the finishing harvest banked, >= the target.
   EXPECT_GE(solutions.size(), 10u);
 
-  const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
-  const MetricSnapshot* stalls = find_metric(snap, "hts_stream_stall_ms");
-  ASSERT_NE(stalls, nullptr);
-  EXPECT_GT(stalls->count, 0u);
-  EXPECT_GT(stalls->sum, 0.0);
-  const MetricSnapshot* delivered_metric =
-      find_metric(snap, "hts_stream_delivered_total");
-  ASSERT_NE(delivered_metric, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(delivered_metric->value),
-            solutions.size());
+  const service::StatsSnapshot snapshot = server.stats_snapshot();
+  EXPECT_GT(snapshot.server.stall_ms, 0.0);
+  EXPECT_EQ(snapshot.server.delivered, solutions.size());
 }
 
 TEST(TelemetryService, InjectedFaultsAndRetriesAppearInTraceAndMetrics) {
-  TelemetryGuard guard(/*metrics=*/true, /*trace=*/true);
+  TraceGuard guard(/*on=*/true);
   service::ServerConfig config{.n_workers = 2};
   // Deterministic injector: every 3rd slice check trips a transient fault,
   // so some jobs retry and recover (max_retries default is 2).
@@ -494,20 +503,11 @@ TEST(TelemetryService, InjectedFaultsAndRetriesAppearInTraceAndMetrics) {
   ASSERT_GT(retries, 0u) << "fault spec never fired; test is vacuous";
 
   // The injector's firings are a metric keyed by seam name...
-  const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
-  bool saw_injection = false;
-  for (const MetricSnapshot& m : snap) {
-    if (m.name != "hts_fault_injections_total") continue;
-    ASSERT_EQ(m.labels.size(), 1u);
-    EXPECT_EQ(m.labels[0].first, "site");
-    EXPECT_EQ(m.labels[0].second, "slice");
-    EXPECT_GT(m.value, 0.0);
-    saw_injection = true;
-  }
-  EXPECT_TRUE(saw_injection);
-  const MetricSnapshot* retried =
-      find_metric(snap, "hts_scheduler_retried_total");
-  ASSERT_NE(retried, nullptr);
+  const std::map<std::string, double> samples =
+      parse_samples(server.stats_snapshot().metrics_prometheus);
+  EXPECT_GT(samples.at("hts_fault_injections_total{site=\"slice\"}"), 0.0);
+  EXPECT_EQ(samples.at("hts_fault_injections_total{site=\"compile\"}"), 0.0);
+  EXPECT_EQ(samples.at("hts_scheduler_retried_total"), retries);
 
   // ...and every fault/retry lands on the job's async track, named after
   // the seam it hit.
