@@ -2,18 +2,13 @@
 // paper's own Fig. 4:
 //   (a) hyperparameters — learning-rate and init-std sweeps around the
 //       paper's lr=10 setting (unique yield of a single fixed-size round);
-//   (b) the AIG structural-hashing pass between Algorithm 1 and the
-//       probabilistic compiler (op counts before/after);
-//   (c) SatELite-style preprocessing ahead of the CDCL baselines (formula
+//   (b) SatELite-style preprocessing ahead of the CDCL baselines (formula
 //       shrinkage and its effect on CMSGen-like throughput).
 
 #include <cstdio>
 
-#include "aig/aig.hpp"
 #include "bench_common.hpp"
-#include "core/circuit_sampler.hpp"
 #include "solver/preprocess.hpp"
-#include "transform/transform.hpp"
 
 namespace {
 
@@ -74,44 +69,7 @@ int main() {
   std::printf("%s\n", std_table.to_string().c_str());
 
   // ---------------------------------------------------------------- (b) ----
-  std::printf("--- (b) AIG structural-hashing pass after Algorithm 1 ---\n");
-  util::Table aig_table({"Instance", "Circuit ops", "AIG ANDs", "Change",
-                         "Sampler throughput", "with AIG pass"});
-  for (const std::string& name : benchgen::ablation_names()) {
-    const benchgen::Instance instance = bench::make_scaled_instance(name, env);
-    const transform::Result tr = transform::transform_cnf(instance.formula);
-    const aig::OptimizeResult opt = aig::optimize_with_aig(tr.circuit);
-
-    auto run_circuit = [&](const circuit::Circuit& c) {
-      sampler::CircuitSamplerConfig config;
-      config.batch = bench::pick_batch(env, instance.formula.n_vars());
-      sampler::CircuitSampler sampler(c, config);
-      sampler::RunOptions options;
-      options.min_solutions = env.min_solutions;
-      options.budget_ms = env.budget_ms;
-      options.seed = env.seed;
-      return sampler.run(options).throughput();
-    };
-    const double before = run_circuit(tr.circuit);
-    const double after = run_circuit(opt.circuit);
-    const double ratio = opt.ands_before > 0
-                             ? static_cast<double>(opt.ands_after) /
-                                   static_cast<double>(opt.ands_before)
-                             : 1.0;
-    aig_table.add_row({name, std::to_string(opt.ands_before),
-                       std::to_string(opt.ands_after),
-                       util::format_fixed(100.0 * (ratio - 1.0), 1) + "%",
-                       util::format_grouped(before, 1),
-                       util::format_grouped(after, 1)});
-  }
-  std::printf("%s\n", aig_table.to_string().c_str());
-  std::printf("(negative change = strashing removed shared logic; positive =\n"
-              "AND/NOT decomposition of XOR-rich logic costs more ops than the\n"
-              "native probabilistic XOR — the pass pays off only on redundant\n"
-              "netlists, so the pipeline keeps whichever form is cheaper.)\n\n");
-
-  // ---------------------------------------------------------------- (c) ----
-  std::printf("--- (c) SatELite-style preprocessing before the CDCL baseline ---\n");
+  std::printf("--- (b) SatELite-style preprocessing before the CDCL baseline ---\n");
   util::Table pp_table({"Instance", "Vars", "Clauses", "Clauses after",
                         "Eliminated", "CMSGen sol/s", "after preprocess"});
   for (const std::string& name : {std::string("or-100-20-8-UC-10"),

@@ -71,9 +71,7 @@ class Amplifier {
       // can never match an input anyway.
       cnf::Var max_var = 0;
       for (std::size_t i = 0; i < n_inputs; ++i) {
-        const cnf::Var var = problem.input_vars != nullptr
-                                 ? (*problem.input_vars)[i]
-                                 : static_cast<cnf::Var>(i);
+        const cnf::Var var = problem.input_var(i);
         if (var != cnf::kInvalidVar && var > max_var) max_var = var;
       }
       std::vector<std::uint8_t> in_set;
@@ -83,9 +81,7 @@ class Amplifier {
         in_set[v] = 1;
       }
       for (std::size_t i = 0; i < n_inputs; ++i) {
-        const cnf::Var var = problem.input_vars != nullptr
-                                 ? (*problem.input_vars)[i]
-                                 : static_cast<cnf::Var>(i);
+        const cnf::Var var = problem.input_var(i);
         if (var != cnf::kInvalidVar && var < in_set.size() && in_set[var]) {
           support_.push_back(i);
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -173,13 +174,36 @@ std::vector<cnf::Var> normalize_sampling_set(std::vector<cnf::Var> set,
   return set;
 }
 
+void validate_config(const GdLoopConfig& config, std::size_t n_vars) {
+  using Invalid = std::invalid_argument;
+  auto positive = [](float x) { return std::isfinite(x) && x > 0.0f; };
+  if (config.batch == 0) throw Invalid("config.batch must be > 0");
+  if (config.iterations < 0) {
+    throw Invalid("config.iterations must be >= 0, got " +
+                  std::to_string(config.iterations));
+  }
+  if (!positive(config.learning_rate)) {
+    throw Invalid("config.learning_rate must be finite and > 0");
+  }
+  if (!positive(config.init_std)) {
+    throw Invalid("config.init_std must be finite and > 0");
+  }
+  for (const LitWeight& lit : config.lit_weights) {
+    if (!std::isfinite(lit.weight)) {
+      throw Invalid("config.lit_weights weight must be finite");
+    }
+    if (lit.var >= n_vars) {
+      throw Invalid("config.lit_weights variable " + std::to_string(lit.var) +
+                    " is not below the problem's " + std::to_string(n_vars) +
+                    " variables");
+    }
+  }
+}
+
 RunResult run_gd_loop(const GdProblem& problem, const cnf::Formula& formula,
                       const RunOptions& options, const GdLoopConfig& config,
                       GdLoopExtras* extras) {
-  if (config.iterations < 0) {
-    throw std::invalid_argument("GdLoopConfig::iterations must be >= 0, got " +
-                                std::to_string(config.iterations));
-  }
+  validate_config(config, problem.var_signal->size());
   prob::CompiledCircuit compiled(
       *problem.circuit,
       prob::CompiledCircuit::Options{config.cone_only, config.optimize_tape});

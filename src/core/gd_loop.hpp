@@ -34,6 +34,12 @@ struct GdProblem {
   /// deduplicated, every entry < var_signal->size(); run unvalidated
   /// caller input through normalize_sampling_set() first.
   std::vector<cnf::Var> sampling_set;
+
+  /// Original variable of circuit input i through input_vars (identity when
+  /// null); cnf::kInvalidVar for auxiliary inputs.
+  [[nodiscard]] cnf::Var input_var(std::size_t i) const {
+    return input_vars != nullptr ? (*input_vars)[i] : static_cast<cnf::Var>(i);
+  }
 };
 
 /// Sorts, deduplicates, and drops out-of-range entries from a
@@ -48,7 +54,8 @@ struct GdProblem {
 /// The GD descent then steers variable `var` toward the literal's phase
 /// with strength `weight` — including variables outside every constraint
 /// (free variables), which plain descent never moves.  Weights on
-/// variables that never became circuit inputs are ignored.
+/// variables that never became circuit inputs are ignored; a variable past
+/// the problem's is rejected (validate_config).
 struct LitWeight {
   cnf::Var var = 0;
   bool negated = false;
@@ -224,6 +231,15 @@ struct GdLoopExtras : LoopCounters {
                                             : problem.circuit->n_inputs();
 }
 
+/// The one check of a config every entry point runs before it builds
+/// anything: run_gd_loop (hence every stand-alone sampler) and the service's
+/// admission.  Throws std::invalid_argument, naming the field, for batch 0,
+/// negative iterations, a non-finite or non-positive learning_rate or
+/// init_std, a non-finite lit_weights weight, or a lit_weights variable not
+/// below `n_vars` (the problem's var_signal->size(), which for a CNF is its
+/// variable count).
+void validate_config(const GdLoopConfig& config, std::size_t n_vars);
+
 /// Runs rounds of randomize -> iterate -> harden -> verify -> bank until
 /// options.min_solutions unique solutions are collected, config.max_rounds
 /// rounds ran, or the stop token fires.  That token is options.stop plus
@@ -233,8 +249,8 @@ struct GdLoopExtras : LoopCounters {
 /// amplifier base, so a budget or cancel ends the run within one step that
 /// cannot be interrupted, with partial results returned cleanly.  `formula`
 /// is only consulted for RunOptions::verify_against_cnf.  Throws
-/// std::invalid_argument, before building anything, when
-/// config.iterations < 0.
+/// std::invalid_argument, before building anything, when validate_config
+/// rejects `config`.
 [[nodiscard]] RunResult run_gd_loop(const GdProblem& problem,
                                     const cnf::Formula& formula,
                                     const RunOptions& options,

@@ -311,9 +311,7 @@ class Harvester {
     // var -> input, mirroring the amplifier's flip-support mapping.
     std::vector<std::uint32_t> input_of;
     for (std::size_t i = 0; i < n_inputs; ++i) {
-      const cnf::Var var = problem_.input_vars != nullptr
-                               ? (*problem_.input_vars)[i]
-                               : static_cast<cnf::Var>(i);
+      const cnf::Var var = problem_.input_var(i);
       if (var == cnf::kInvalidVar) continue;
       if (var >= input_of.size()) input_of.resize(var + 1, 0xffffffffu);
       input_of[var] = static_cast<std::uint32_t>(i);

@@ -53,9 +53,7 @@ namespace hts::sampler {
   if (config.lit_weights.empty()) return engine_config;
   const std::size_t n_inputs = problem.circuit->n_inputs();
   for (std::size_t i = 0; i < n_inputs; ++i) {
-    const cnf::Var var = problem.input_vars != nullptr
-                             ? (*problem.input_vars)[i]
-                             : static_cast<cnf::Var>(i);
+    const cnf::Var var = problem.input_var(i);
     if (var == cnf::kInvalidVar) continue;
     for (const LitWeight& lw : config.lit_weights) {
       if (lw.var != var || lw.weight == 0.0f) continue;

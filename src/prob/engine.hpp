@@ -206,13 +206,13 @@ class Engine {
   /// (p + 1) * n_tiles / n_parts).
   std::size_t n_parts_ = 1;
   // V is tiled [tile][input][row-in-tile]; see engine.cpp.
-  tensor::Buffer v_;
+  std::vector<float> v_;
   // Per part: activations then gradients, [slot][row-in-tile] each.
-  tensor::Buffer scratch_;
+  std::vector<float> scratch_;
   // Per-row captures of the latest sweep: output activations tiled
   // [tile][output][row-in-tile], and the per-row loss (row_losses()).
-  tensor::Buffer output_act_;
-  tensor::Buffer row_loss_;
+  std::vector<float> output_act_;
+  std::vector<float> row_loss_;
   // Per-tile loss scratch, reduced in tile order after each sweep — the
   // hot path never takes a lock, and the reduction order (hence the float
   // sum) is identical under every policy.

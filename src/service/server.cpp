@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <limits>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -204,8 +204,9 @@ struct Job {
   /// (exponential backoff); 0 = immediately.  Guarded by the server mutex,
   /// like enqueued_at_ms.
   double not_before_ms = 0.0;
-  /// Whether this job was counted into client_usage_ at admission (rejected
-  /// and post-shutdown jobs never are).  Guarded by the server mutex.
+  /// Whether this job was counted into its client's live jobs at admission
+  /// (rejected and post-shutdown jobs never are).  Guarded by the server
+  /// mutex.
   bool usage_accounted = false;
 
   // ---- cross-thread accounting ----
@@ -299,23 +300,21 @@ Server::Server(ServerConfig config)
       cache_(config.plan_cache_capacity),
       slice_ms_({0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
                  1000.0}),
-      pool_(n_workers_) {
+      avg_job_cost_ms_(config.admission.initial_job_cost_ms) {
   if (config_.retry_backoff_ms < 0.0) config_.retry_backoff_ms = 0.0;
   // Arm the injector before any worker exists; a malformed spec throws out
-  // of the constructor (the pool joins its idle threads on unwind).
+  // of the constructor with no thread started.
   injector_ = util::FaultInjector::from_spec(
       config_.fault_spec.empty() ? util::FaultInjector::env_spec()
                                  : config_.fault_spec);
-  {
-    // No worker exists yet, but workers_alive_ is mutex_-guarded and the
-    // analysis (rightly) has no "still single-threaded" notion — and the
-    // first submitted worker starts concurrently with the rest of this body.
-    util::LockGuard lock(mutex_);
-    workers_alive_ = n_workers_;
-    avg_job_cost_ms_ = config_.admission.initial_job_cost_ms;
-  }
-  for (std::size_t w = 0; w < n_workers_; ++w) {
-    pool_.submit([this, w] { worker_loop(w); });
+  workers_.reserve(n_workers_);
+  try {
+    for (std::size_t w = 0; w < n_workers_; ++w) {
+      workers_.emplace_back([this, w] { worker_loop(w); });
+    }
+  } catch (...) {
+    shutdown();  // joins the workers already started
+    throw;
   }
 }
 
@@ -336,9 +335,9 @@ JobHandle Server::submit(SamplingRequest request) {
     } else if (!admit_locked(*job, &error)) {
       outcome = Outcome::kRejected;
     } else {
-      ClientUsage& usage = client_usage_[job->request.client_id];
-      ++usage.live_jobs;
-      usage.reserved_bank_bytes += job->request.max_bank_bytes;
+      ClientState& client = clients_[job->request.client_id];
+      ++client.live_jobs;
+      client.reserved_bank_bytes += job->request.max_bank_bytes;
       job->usage_accounted = true;
       enqueue_ns = util::monotonic_ns();
       job->enqueued_at_ms = job->ms_at(enqueue_ns);
@@ -394,35 +393,20 @@ bool Server::admit_locked(Job& job, ErrorInfo* error) {
   };
 
   // A request the loop cannot run is malformed, not infeasible: reject it
-  // here rather than let the engine's batch invariant abort the process, a
-  // negative iteration count size the round's buffers, or a zero or NaN
-  // step hold a worker until the deadline without converging.
-  const sampler::GradientConfig& config = request.config;
-  if (config.batch == 0) return reject("config.batch must be > 0");
-  if (config.iterations < 0) return reject("config.iterations must be >= 0");
-  auto positive = [](float x) { return std::isfinite(x) && x > 0.0f; };
-  if (!positive(config.learning_rate)) {
-    return reject("config.learning_rate must be finite and > 0");
-  }
-  if (!positive(config.init_std)) {
-    return reject("config.init_std must be finite and > 0");
-  }
-  for (const sampler::LitWeight& lit : config.lit_weights) {
-    if (!std::isfinite(lit.weight)) {
-      return reject("config.lit_weights weight must be finite");
-    }
-    if (lit.var >= request.formula.n_vars()) {
-      return reject("config.lit_weights variable " + std::to_string(lit.var) +
-                    " is not below the formula's " +
-                    std::to_string(request.formula.n_vars()) + " variables");
-    }
+  // here with the rule every sampler enforces, rather than let the
+  // engine's batch invariant abort the process, a negative iteration count
+  // size the round's buffers, or a zero or NaN step hold a worker until the
+  // deadline without converging.
+  try {
+    sampler::validate_config(request.config, request.formula.n_vars());
+  } catch (const std::invalid_argument& e) {
+    return reject(e.what());
   }
 
   // Quotas next — they hold regardless of the feasibility switch.
   if (admission.max_client_jobs != 0 || admission.max_client_bank_bytes != 0) {
-    const auto it = client_usage_.find(request.client_id);
-    const ClientUsage usage =
-        it == client_usage_.end() ? ClientUsage{} : it->second;
+    const auto it = clients_.find(request.client_id);
+    const ClientState usage = it == clients_.end() ? ClientState{} : it->second;
     if (admission.max_client_jobs != 0 &&
         usage.live_jobs >= admission.max_client_jobs) {
       return reject("client job quota exceeded (" +
@@ -499,8 +483,9 @@ void Server::shutdown() {
   // sees the cancel and finalizes without spending a slice) and then exit.
   for (const std::shared_ptr<Job>& job : outstanding) job->abort.request_stop();
   work_cv_.notify_all();
-  util::LockGuard lock(mutex_);
-  while (workers_alive_ != 0) workers_exit_cv_.wait(mutex_);
+  std::call_once(join_once_, [this] {
+    for (std::thread& worker : workers_) worker.join();
+  });
 }
 
 ServerStats Server::stats() const {
@@ -537,8 +522,8 @@ bool Server::schedules_before_locked(const Job& a, const Job& b) const {
   const double db = b.stop.remaining_ms();
   if (da != db) return da < db;
   const auto stamp = [this](std::uint64_t client) -> std::uint64_t {
-    const auto it = client_last_pop_.find(client);
-    return it == client_last_pop_.end() ? 0 : it->second;
+    const auto it = clients_.find(client);
+    return it == clients_.end() ? 0 : it->second.last_pop;
   };
   const std::uint64_t ca = stamp(a.request.client_id);
   const std::uint64_t cb = stamp(b.request.client_id);
@@ -570,7 +555,7 @@ std::shared_ptr<Job> Server::pop_best_locked() {
   std::shared_ptr<Job> job = ready_[best];
   ready_.erase(ready_.begin() +
                static_cast<std::ptrdiff_t>(best));
-  client_last_pop_[job->request.client_id] = ++pop_seq_;
+  clients_[job->request.client_id].last_pop = ++pop_seq_;
   job->last_pop_seq = pop_seq_;
   ++stats_.slices;
   // One clock capture feeds the stats delta and the trace span alike.
@@ -599,11 +584,7 @@ void Server::worker_loop(std::size_t worker_index) {
           job = pop_best_locked();
           if (job != nullptr) break;
         }
-        if (shutdown_ && ready_.empty()) {
-          --workers_alive_;
-          workers_exit_cv_.notify_all();
-          return;
-        }
+        if (shutdown_ && ready_.empty()) return;
         // Sleep until work arrives — but never past the nearest
         // retry-backoff expiry, so a recovered job is not stranded on an
         // otherwise idle fleet.  Running jobs need no watch: their slices
@@ -931,27 +912,16 @@ void Server::finalize(const std::shared_ptr<Job>& job, JobStatus status) {
   // that wait()s and then reads Server::stats() observes its own job.
   {
     util::LockGuard lock(mutex_);
-    // Drop the client's round-robin stamp once its last outstanding job is
-    // gone — a long-lived server must not grow state per client_id ever
-    // seen.  (A returning client restarts as "least recently scheduled",
-    // exactly like a new one.)
-    const std::uint64_t client = job->request.client_id;
-    auto has_same_client = [client](const std::shared_ptr<Job>& other) {
-      return other->request.client_id == client;
-    };
-    if (std::none_of(ready_.begin(), ready_.end(), has_same_client) &&
-        std::none_of(running_.begin(), running_.end(), has_same_client)) {
-      client_last_pop_.erase(client);
-    }
-    // Release the client's quota reservation (only if admission granted one
-    // — rejected and post-shutdown jobs were never accounted).
+    // Release the client's live job and quota reservation (only if
+    // admission granted them — rejected and post-shutdown jobs were never
+    // accounted), and drop its record with its last live job.
     if (job->usage_accounted) {
-      const auto it = client_usage_.find(client);
-      if (it != client_usage_.end()) {
-        ClientUsage& usage = it->second;
-        --usage.live_jobs;
-        usage.reserved_bank_bytes -= job->request.max_bank_bytes;
-        if (usage.live_jobs == 0) client_usage_.erase(it);
+      const auto it = clients_.find(job->request.client_id);
+      if (it != clients_.end()) {
+        ClientState& client = it->second;
+        --client.live_jobs;
+        client.reserved_bank_bytes -= job->request.max_bank_bytes;
+        if (client.live_jobs == 0) clients_.erase(it);
       }
       job->usage_accounted = false;
     }

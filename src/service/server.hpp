@@ -3,11 +3,11 @@
 // In-process sampling service: many concurrent SamplingRequests, one
 // machine.
 //
-// A Server owns a fixed worker fleet (long-lived scheduler loops submitted
-// to a util::ThreadPool it owns) and a compiled-plan cache.  submit() is
-// non-blocking: the request joins a fair run queue and the returned
-// JobHandle is the client's view of the job — its solution stream, live
-// stats, cancellation, and completion wait.
+// A Server owns a fixed worker fleet (one std::thread per scheduler loop)
+// and a compiled-plan cache.  submit() is non-blocking: the request joins
+// a fair run queue and the returned JobHandle is the client's view of the
+// job — its solution stream, live stats, cancellation, and completion
+// wait.
 //
 // Scheduling is earliest-deadline-first over *time slices*: a worker pops
 // the queued job with the nearest deadline (no-deadline jobs sort last, as
@@ -40,7 +40,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,7 +53,6 @@
 #include "util/fault_injector.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hts::service {
 
@@ -216,8 +217,10 @@ class Server {
   /// already-cancelled handle.
   [[nodiscard]] JobHandle submit(SamplingRequest request) HTS_EXCLUDES(mutex_);
 
-  /// Cancels every queued and running job, drains the fleet, and stops the
-  /// workers.  Idempotent; called by the destructor.
+  /// Cancels every queued and running job, drains the fleet, and joins the
+  /// workers.  Idempotent and safe to call from several threads at once:
+  /// every call returns only after the fleet has stopped.  Called by the
+  /// destructor.
   void shutdown() HTS_EXCLUDES(mutex_);
 
   [[nodiscard]] std::size_t n_workers() const { return n_workers_; }
@@ -236,17 +239,23 @@ class Server {
   }
 
  private:
-  /// Per-client live-resource accounting backing the admission quotas.
-  struct ClientUsage {
+  /// Everything the server keeps per client: the live (queued + running)
+  /// jobs and bank-byte reservations the quotas check, and the round-robin
+  /// stamp of the client's latest pop.  One entry per client with a live
+  /// job; it is erased when the last one finalizes, so a long-lived server
+  /// holds no state per client_id ever seen (a returning client restarts as
+  /// "least recently scheduled", exactly like a new one).
+  struct ClientState {
     std::size_t live_jobs = 0;
     std::size_t reserved_bank_bytes = 0;
+    std::uint64_t last_pop = 0;
   };
 
   void worker_loop(std::size_t worker_index) HTS_EXCLUDES(mutex_);
-  /// Admission decision for a fresh submission: malformed configs (batch
-  /// 0) first, then quotas, then the deadline-feasibility model (possibly
-  /// degrading the job's batch in place).  False = reject, with the reason
-  /// written to *error.
+  /// Admission decision for a fresh submission: malformed configs
+  /// (sampler::validate_config) first, then quotas, then the
+  /// deadline-feasibility model (possibly degrading the job's batch in
+  /// place).  False = reject, with the reason written to *error.
   [[nodiscard]] bool admit_locked(detail::Job& job, ErrorInfo* error)
       HTS_REQUIRES(mutex_);
   /// A queued job may run now: cancelled/expired jobs always (they retire
@@ -279,27 +288,23 @@ class Server {
   // util/mutex.hpp for the repo-wide contract).
   mutable util::Mutex mutex_;
   util::CondVar work_cv_;
-  util::CondVar workers_exit_cv_;
   std::vector<std::shared_ptr<detail::Job>> ready_ HTS_GUARDED_BY(mutex_);
   std::vector<std::shared_ptr<detail::Job>> running_ HTS_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::uint64_t> client_last_pop_
+  std::unordered_map<std::uint64_t, ClientState> clients_
       HTS_GUARDED_BY(mutex_);
   std::uint64_t pop_seq_ HTS_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_id_ HTS_GUARDED_BY(mutex_) = 1;
-  std::size_t workers_alive_ HTS_GUARDED_BY(mutex_) = 0;
   bool shutdown_ HTS_GUARDED_BY(mutex_) = false;
   ServerStats stats_ HTS_GUARDED_BY(mutex_);
   telemetry::Histogram slice_ms_ HTS_GUARDED_BY(mutex_);
   /// EWMA of finished jobs' exec_ms — the admission model's cost estimate.
   double avg_job_cost_ms_ HTS_GUARDED_BY(mutex_) = 0.0;
-  /// Live per-client usage for quota checks; entries erased when a
-  /// client's last job finalizes (no growth per client_id ever seen).
-  std::unordered_map<std::uint64_t, ClientUsage> client_usage_
-      HTS_GUARDED_BY(mutex_);
 
-  /// Declared last so it is destroyed first; by then shutdown() has drained
-  /// the worker loops, so the pool destructor joins idle threads.
-  util::ThreadPool pool_;
+  /// The fleet: one thread per worker_loop, started by the constructor once
+  /// the injector is armed and joined exactly once, by the first shutdown()
+  /// (join_once_ makes concurrent callers wait for that join).
+  std::vector<std::thread> workers_;
+  std::once_flag join_once_;
 };
 
 }  // namespace hts::service

@@ -4,13 +4,12 @@
 //
 // The worker running a job's slice pushes each newly banked assignment in
 // harvest order; the client consumes from any thread via the blocking
-// iterator (next), non-blocking polls (try_next / drain), or — configured
-// at submit time — a synchronous callback that bypasses the buffer
-// entirely.  A bounded stream applies backpressure: when the buffer is
-// full, push() blocks the job's worker until the consumer drains or the
-// job's stop token fires (cancel or deadline), so a slow consumer throttles
-// exactly its own job and nothing else (the fleet's other workers keep
-// scheduling other requests).
+// iterator (next) or — configured at submit time — a synchronous callback
+// that bypasses the buffer entirely.  A bounded stream applies
+// backpressure: when the buffer is full, push() blocks the job's worker
+// until the consumer takes an item or the job's stop token fires (cancel
+// or deadline), so a slow consumer throttles exactly its own job and
+// nothing else (the fleet's other workers keep scheduling other requests).
 //
 // Delivery order is the job's deterministic harvest order: rounds execute
 // sequentially per job and each round's accept phase is serial, so for a
@@ -34,7 +33,6 @@
 #include <deque>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "cnf/types.hpp"
 #include "util/mutex.hpp"
@@ -122,28 +120,6 @@ class SolutionStream {
     return true;
   }
 
-  /// Non-blocking poll; false when nothing is buffered right now.
-  bool try_next(cnf::Assignment& out) HTS_EXCLUDES(mutex_) {
-    util::LockGuard lock(mutex_);
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    space_cv_.notify_one();
-    return true;
-  }
-
-  /// Appends everything currently buffered to `out`; returns the count.
-  std::size_t drain(std::vector<cnf::Assignment>& out) HTS_EXCLUDES(mutex_) {
-    util::LockGuard lock(mutex_);
-    const std::size_t n = queue_.size();
-    for (cnf::Assignment& assignment : queue_) {
-      out.push_back(std::move(assignment));
-    }
-    queue_.clear();
-    if (n > 0) space_cv_.notify_all();
-    return n;
-  }
-
   /// Consumer abandons the stream: the buffer is discarded and every future
   /// push is dropped (the job itself keeps running — cancel the JobHandle
   /// to stop the work too).
@@ -175,7 +151,6 @@ class SolutionStream {
     util::LockGuard lock(mutex_);
     return queue_.size();
   }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   const std::size_t capacity_;

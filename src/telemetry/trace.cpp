@@ -13,13 +13,8 @@ namespace hts::telemetry {
 namespace {
 
 // Per-thread ring capacity: spans fire at phase boundaries (a handful per
-// slice), so 128K events cover hours of serving; HTS_TRACE_RING overrides
-// for stress tests.
-std::size_t ring_capacity() {
-  static const std::size_t capacity = static_cast<std::size_t>(
-      std::max<long long>(1024, hts::util::env_int("HTS_TRACE_RING", 131072)));
-  return capacity;
-}
+// slice), so 128K events cover hours of serving.
+constexpr std::size_t kRingCapacity = 131072;
 
 std::string json_escape(const std::string& v) {
   std::string out;
@@ -64,7 +59,7 @@ TraceSink::ThreadBuffer& TraceSink::local_buffer() {
   thread_local std::shared_ptr<ThreadBuffer> buffer;
   if (!buffer) {
     util::LockGuard lock(mutex_);
-    buffer = std::make_shared<ThreadBuffer>(next_tid_++, ring_capacity());
+    buffer = std::make_shared<ThreadBuffer>(next_tid_++, kRingCapacity);
     buffers_.push_back(buffer);
   }
   return *buffer;

@@ -27,8 +27,9 @@
 //      forms.
 //   3. sampler::ShardedUniqueBank shard mutexes are leaves: at most one
 //      shard is held at a time and nothing is acquired under it.
-//   4. util::ThreadPool::mutex_ is a leaf: pool tasks run with no pool lock
-//      held.
+//   4. util::ThreadPool::mutex_ is a leaf: parallel_for chunks run with no
+//      pool lock held.  The service's worker loops run on the Server's own
+//      threads, not on a pool.
 //   5. telemetry::TraceSink's per-thread buffer mutexes are leaves: trace
 //      sites may fire while holding any of the locks above (e.g. a span
 //      under Server::mutex_), and nothing is ever acquired under them.

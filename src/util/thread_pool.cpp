@@ -30,19 +30,8 @@ void ThreadPool::worker_loop() {
       LockGuard lock(mutex_);
       while (!stop_ && queue_.empty()) work_ready_.wait(mutex_);
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.back());
+      task = queue_.back();
       queue_.pop_back();
-      // Detached tasks still queued at shutdown are dropped, per submit()'s
-      // contract: starting a long-lived service loop during teardown would
-      // leave the destructor joining a worker that never returns.
-      // parallel_for chunks are different — a caller is blocked on their
-      // countdown, so they always run.
-      if (stop_ && task.detached) continue;
-    }
-    if (task.detached) {
-      // Fire-and-forget: nothing to count down, no caller to wake.
-      task.detached();
-      continue;
     }
     (*task.fn)(task.begin, task.end);
     {
@@ -50,16 +39,6 @@ void ThreadPool::worker_loop() {
       if (--*task.remaining == 0) work_done_.notify_all();
     }
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    LockGuard lock(mutex_);
-    Task entry;
-    entry.detached = std::move(task);
-    queue_.push_back(std::move(entry));
-  }
-  work_ready_.notify_one();
 }
 
 void ThreadPool::parallel_for(
@@ -85,7 +64,7 @@ void ThreadPool::parallel_for(
       task.begin = begin;
       task.end = std::min(begin + chunk, n);
       task.remaining = &remaining;
-      queue_.push_back(std::move(task));
+      queue_.push_back(task);
       ++remaining;
     }
   }

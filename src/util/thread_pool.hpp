@@ -39,17 +39,8 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn)
       HTS_EXCLUDES(mutex_);
 
-  /// Enqueues a single fire-and-forget task; returns immediately.  The task
-  /// runs on one pool worker (never the caller), interleaved with
-  /// parallel_for chunks through the same queue.  The service layer's worker
-  /// fleet is built on this: each long-lived scheduler loop is one submitted
-  /// task, so the fleet shares the pool type (and its shutdown discipline)
-  /// with the data-parallel kernels instead of owning raw std::threads.
-  /// Tasks still queued when the pool is destroyed are dropped; tasks must
-  /// not outlive-block the pool unless the owner drains them first.
-  void submit(std::function<void()> task) HTS_EXCLUDES(mutex_);
-
-  /// Global pool sized to the machine; shared by tensor kernels.
+  /// Global pool sized to the machine; shared by the engine's parts, the
+  /// harvester's block split and any other data-parallel kernel.
   static ThreadPool& global();
 
  private:
@@ -66,9 +57,6 @@ class ThreadPool {
     /// — e.g. round-parallel GD workers dispatching data-parallel kernels —
     /// never wait on each other's chunks.
     std::size_t* remaining = nullptr;
-    /// submit() tasks carry their callable by value (fn stays null and no
-    /// completion is tracked — fire and forget).
-    std::function<void()> detached;
   };
 
   void worker_loop() HTS_EXCLUDES(mutex_);

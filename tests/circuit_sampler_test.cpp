@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "circuit/tseitin.hpp"
 #include "core/circuit_sampler.hpp"
@@ -151,6 +152,22 @@ TEST(CircuitSampler, MaxRoundsBoundsWork) {
   const RunResult result = sampler.run(options);
   EXPECT_EQ(sampler.extras().rounds, 1u);
   EXPECT_GT(result.n_valid, 0u);
+}
+
+TEST(CircuitSampler, MalformedConfigIsRejected) {
+  // Bounds lit_weights by the circuit's inputs (its pseudo-variables) and
+  // rejects batch 0 before the engine's invariant could abort the process.
+  const Circuit c = mux_circuit();
+  for (const bool zero_batch : {true, false}) {
+    CircuitSamplerConfig config = fast_config();
+    if (zero_batch) {
+      config.batch = 0;
+    } else {
+      config.lit_weights = {{3, false, 1.0f}};  // inputs are 0..2
+    }
+    CircuitSampler sampler(c, config);
+    EXPECT_THROW((void)sampler.run(RunOptions{}), std::invalid_argument);
+  }
 }
 
 TEST(CircuitSampler, MultiOutputConstraints) {

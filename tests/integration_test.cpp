@@ -7,14 +7,12 @@
 
 #include <memory>
 
-#include "aig/aig.hpp"
 #include "baselines/cmsgen_like.hpp"
 #include "baselines/diff_sampler.hpp"
 #include "baselines/unigen_like.hpp"
 #include "baselines/walksat_sampler.hpp"
 #include "benchgen/families.hpp"
 #include "cnf/dimacs.hpp"
-#include "core/circuit_sampler.hpp"
 #include "core/gradient_sampler.hpp"
 #include "solver/cdcl.hpp"
 #include "transform/transform.hpp"
@@ -152,52 +150,6 @@ TEST(Integration, TransformedSamplingBeatsFlatOnStructured) {
   const double reduction = static_cast<double>(flat.circuit.op_count_2input()) /
                            static_cast<double>(transformed.circuit.op_count_2input());
   EXPECT_GT(reduction, 2.0);
-}
-
-TEST(Integration, AigPassPreservesPipelineSemantics) {
-  // transform -> AIG structural hashing -> direct circuit sampling; every
-  // sample must project (through signal_map and var_signal) to a model of
-  // the original CNF.
-  const benchgen::Instance instance = benchgen::make_instance("75-10-1-q");
-  const transform::Result tr = transform::transform_cnf(instance.formula);
-  const aig::OptimizeResult opt = aig::optimize_with_aig(tr.circuit);
-
-  sampler::CircuitSamplerConfig config;
-  config.batch = 2048;
-  sampler::CircuitSampler sampler(opt.circuit, config);
-  sampler::RunOptions options;
-  options.min_solutions = 25;
-  options.budget_ms = 8000.0;
-  options.store_limit = 25;
-  const sampler::RunResult result = sampler.run(options);
-  ASSERT_GE(result.n_unique, 25u);
-
-  // Rebuild original-variable assignments: inputs of the optimized circuit
-  // correspond 1:1 (same order) to inputs of the transformed circuit.
-  for (const cnf::Assignment& inputs : result.solutions) {
-    const auto values = opt.circuit.eval(
-        std::vector<std::uint8_t>(inputs.begin(), inputs.end()));
-    cnf::Assignment assignment(instance.formula.n_vars(), 0);
-    for (cnf::Var v = 0; v < instance.formula.n_vars(); ++v) {
-      assignment[v] = values[opt.signal_map[tr.var_signal[v]]];
-    }
-    EXPECT_TRUE(instance.formula.satisfied_by(assignment));
-  }
-}
-
-TEST(Integration, AigPassPreservesWitness) {
-  for (const char* name : {"or-50-10-7-UC-10", "Prod-8"}) {
-    benchgen::GenOptions gen;
-    gen.scale = 0.05;
-    const benchgen::Instance instance = benchgen::make_instance(name, gen);
-    const aig::OptimizeResult opt = aig::optimize_with_aig(instance.circuit);
-    std::vector<std::uint8_t> inputs;
-    for (const auto input : instance.circuit.inputs()) {
-      inputs.push_back(instance.witness[instance.signal_var[input]]);
-    }
-    const auto values = opt.circuit.eval(inputs);
-    EXPECT_TRUE(opt.circuit.outputs_satisfied(values)) << name;
-  }
 }
 
 TEST(Integration, WitnessSurvivesDimacsRoundTrip) {

@@ -1,7 +1,7 @@
-// Tests for the tensor backend and the probabilistic engine: Table I
-// forward/derivative semantics, finite-difference gradient checks on random
-// circuits, loss descent, hardening, cone-only compilation, serial/parallel
-// equivalence, and the tile-resident memory model.
+// Tests for the probabilistic engine: Table I forward/derivative semantics,
+// finite-difference gradient checks on random circuits, loss descent,
+// hardening, cone-only compilation, serial/parallel equivalence, and the
+// tile-resident memory model.
 
 #include <gtest/gtest.h>
 
@@ -20,21 +20,6 @@ namespace {
 using circuit::Circuit;
 using circuit::GateType;
 using circuit::SignalId;
-
-// --- tensor backend ------------------------------------------------------------
-
-TEST(Tensor, BufferTracksBytes) {
-  tensor::reset_peak_bytes();
-  const std::int64_t before = tensor::live_bytes();
-  {
-    tensor::Buffer buffer(1024);
-    EXPECT_GE(tensor::live_bytes() - before,
-              static_cast<std::int64_t>(1024 * sizeof(float)));
-  }
-  EXPECT_EQ(tensor::live_bytes(), before);
-  EXPECT_GE(tensor::peak_bytes() - before,
-            static_cast<std::int64_t>(1024 * sizeof(float)));
-}
 
 // --- compilation -----------------------------------------------------------------
 

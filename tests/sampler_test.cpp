@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "baselines/diff_sampler.hpp"
 #include "bdd/builder.hpp"
@@ -163,16 +165,53 @@ TEST(GradientSampler, HandlesUnsat) {
   EXPECT_TRUE(result.proven_unsat || result.timed_out);
 }
 
-TEST(GradientSampler, NegativeIterationsAreRejected) {
-  // iterations + 1 sizes the per-iteration curve: -1 would leave it empty
-  // and -2 would ask for SIZE_MAX slots, so both throw before any build.
+TEST(GradientSampler, MalformedConfigsAreRejected) {
+  // The configs service admission rejects (ServiceAdmission.
+  // ZeroBatchIsRejectedAtSubmitAndSparesItsNeighbor) throw from the
+  // stand-alone samplers too, before any build, naming the field.  Batch 0
+  // would trip the engine's batch invariant; iterations + 1 sizes the
+  // per-iteration curve, so -2 would ask for SIZE_MAX slots.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const struct {
+    void (*spoil)(GdLoopConfig&);
+    const char* field;
+  } kMalformed[] = {
+      {[](GdLoopConfig& c) { c.batch = 0; }, "batch"},
+      {[](GdLoopConfig& c) { c.iterations = -1; }, "iterations"},
+      {[](GdLoopConfig& c) { c.iterations = -2; }, "iterations"},
+      {[](GdLoopConfig& c) { c.learning_rate = 0.0f; }, "learning_rate"},
+      {[](GdLoopConfig& c) { c.learning_rate = kNan; }, "learning_rate"},
+      {[](GdLoopConfig& c) { c.init_std = 0.0f; }, "init_std"},
+      {[](GdLoopConfig& c) { c.init_std = -kInf; }, "init_std"},
+      {[](GdLoopConfig& c) { c.lit_weights = {{0, false, kInf}}; },
+       "lit_weights"},
+      // small_formula() has 7 variables, 0..6.
+      {[](GdLoopConfig& c) { c.lit_weights = {{7, false, 1.0f}}; },
+       "lit_weights"}};
   const cnf::Formula f = small_formula();
-  for (const int iterations : {-1, -2}) {
+  auto expect_rejected = [](auto&& run, const char* field) {
+    try {
+      (void)run();
+      ADD_FAILURE() << "config." << field << " was not rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const auto& malformed : kMalformed) {
     GradientConfig config = small_config();
-    config.iterations = iterations;
+    malformed.spoil(config);
     GradientSampler sampler(config);
-    EXPECT_THROW((void)sampler.run(f, fast_options()), std::invalid_argument)
-        << "iterations = " << iterations;
+    expect_rejected([&] { return sampler.run(f, fast_options()); },
+                    malformed.field);
+    // DiffSampler runs the same loop, hence the same check.
+    baselines::DiffSamplerConfig diff_config;
+    diff_config.batch = 256;
+    malformed.spoil(diff_config);
+    baselines::DiffSampler diff(diff_config);
+    expect_rejected([&] { return diff.run(f, fast_options()); },
+                    malformed.field);
   }
 }
 

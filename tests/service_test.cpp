@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -141,6 +142,29 @@ TEST(ServiceServer, ShutdownCancelsOutstandingJobs) {
     EXPECT_EQ(handle.wait(), JobStatus::kCancelled);
     EXPECT_TRUE(handle.stream().closed());
   }
+}
+
+TEST(ServiceServer, ConcurrentShutdownsBothWaitForTheFleet) {
+  // Two threads call shutdown() at once while a job runs.  Whichever of
+  // them joins the workers, both return only after the fleet has stopped,
+  // so the job is terminal by then; a later submit() is cancelled within
+  // the call, and the destructor's own shutdown() finds nothing left to do.
+  auto server = std::make_unique<Server>(ServerConfig{.n_workers = 2});
+  const JobHandle job = server->submit(endless_request());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back([&] {
+      server->shutdown();
+      EXPECT_TRUE(job_status_terminal(job.status()));
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(job.status(), JobStatus::kCancelled);
+  const JobHandle late = server->submit(small_request(formula_a()));
+  EXPECT_EQ(late.status(), JobStatus::kCancelled);
+  server.reset();
+  EXPECT_TRUE(late.stream().closed());
 }
 
 // --- determinism -------------------------------------------------------------

@@ -368,42 +368,6 @@ TEST(StopToken, FiredSourceStopsWhateverTheBudget) {
   EXPECT_TRUE(token.stop_requested());
 }
 
-TEST(ThreadPool, SubmitRunsDetachedTasks) {
-  ThreadPool pool(3);
-  constexpr int kTasks = 64;
-  std::atomic<int> done{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
-  }
-  const Timer timer;
-  while (done.load() < kTasks && timer.milliseconds() < 10000.0) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ThreadPool, SubmitInterleavesWithParallelFor) {
-  // The service fleet holds pool threads in long-lived submitted loops while
-  // parallel_for traffic flows through the same queue type; make sure one
-  // shape cannot wedge the other.
-  ThreadPool pool(4);
-  std::atomic<bool> release{false};
-  std::atomic<int> long_tasks_running{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      long_tasks_running.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-    });
-  }
-  while (long_tasks_running.load() < 2) std::this_thread::yield();
-  std::atomic<std::size_t> covered{0};
-  pool.parallel_for(1000, [&](std::size_t begin, std::size_t end) {
-    covered.fetch_add(end - begin);
-  });
-  EXPECT_EQ(covered.load(), 1000u);
-  release.store(true);
-}
-
 // --- fault injector ----------------------------------------------------------
 
 TEST(FaultInjector, EmptyAndNoneSpecsAreDisarmedNoOps) {
