@@ -44,7 +44,7 @@ int main() {
     options.seed = env.seed;
     (void)sampler.run(instance.formula, options);
 
-    const auto& curve = sampler.uniques_per_iteration();
+    const auto& curve = sampler.extras().uniques_per_iteration;
     std::vector<std::string> row{name, std::to_string(config.batch)};
     for (std::size_t i = 0; i <= 10; ++i) {
       row.push_back(i < curve.size() ? std::to_string(curve[i]) : "-");

@@ -5,6 +5,9 @@
 
 namespace hts::baselines {
 
+/// Fraction of branching decisions taken at random.
+constexpr double kRandomDecisionFreq = 0.15;
+
 sampler::RunResult CmsGenLike::run(const cnf::Formula& formula,
                                    const sampler::RunOptions& options) {
   sampler::RunResult result;
@@ -13,7 +16,7 @@ sampler::RunResult CmsGenLike::run(const cnf::Formula& formula,
   util::Timer setup_timer;
   solver::CdclConfig solver_config;
   solver_config.polarity = solver::CdclConfig::Polarity::kRandom;
-  solver_config.random_decision_freq = config_.random_decision_freq;
+  solver_config.random_decision_freq = kRandomDecisionFreq;
   solver_config.seed = options.seed;
   solver::CdclSolver solver(solver_config);
   solver.add_formula(formula);

@@ -10,21 +10,11 @@
 
 namespace hts::baselines {
 
-struct CmsGenConfig {
-  /// Fraction of branching decisions taken at random.
-  double random_decision_freq = 0.15;
-};
-
 class CmsGenLike : public sampler::Sampler {
  public:
-  explicit CmsGenLike(CmsGenConfig config = {}) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "CMSGen-like"; }
   [[nodiscard]] sampler::RunResult run(const cnf::Formula& formula,
                                        const sampler::RunOptions& options) override;
-
- private:
-  CmsGenConfig config_;
 };
 
 }  // namespace hts::baselines

@@ -13,13 +13,24 @@ namespace {
 using cnf::Lit;
 using cnf::Var;
 
+/// Cell-size ceiling: enumeration stops at kPivot+1 models.
+constexpr std::size_t kPivot = 32;
+/// Per-cell conflict budget (keeps a pathological cell from eating the
+/// whole time budget).
+constexpr std::int64_t kCellConflictBudget = 200000;
+/// Maximum variables per parity constraint.  Dense (n/2-wide) hashes give
+/// the strongest uniformity but are hopeless for plain CDCL — real UniGen
+/// leans on CryptoMiniSat's Gaussian elimination.  Sparse hashing is the
+/// standard workaround (cf. Meel et al. on sparse XORs) and preserves the
+/// sampler's qualitative behaviour.
+constexpr std::size_t kMaxXorWidth = 24;
+
 /// Appends a random parity constraint over the original variables to the
-/// formula: a random subset of up to max_width variables with a random
+/// formula: a random subset of up to kMaxXorWidth variables with a random
 /// even/odd parity, encoded as an XOR chain with auxiliary variables.
-void add_random_xor(cnf::Formula& formula, Var n_original, std::size_t max_width,
-                    util::Rng& rng) {
+void add_random_xor(cnf::Formula& formula, Var n_original, util::Rng& rng) {
   std::vector<Var> vars;
-  if (n_original / 2 <= max_width) {
+  if (n_original / 2 <= kMaxXorWidth) {
     for (Var v = 0; v < n_original; ++v) {
       if (rng.next_bool()) vars.push_back(v);
     }
@@ -28,7 +39,8 @@ void add_random_xor(cnf::Formula& formula, Var n_original, std::size_t max_width
     std::vector<Var> all(n_original);
     for (Var v = 0; v < n_original; ++v) all[v] = v;
     rng.shuffle(all);
-    vars.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(max_width));
+    vars.assign(all.begin(),
+                all.begin() + static_cast<std::ptrdiff_t>(kMaxXorWidth));
   }
   const bool parity = rng.next_bool();  // required XOR value
   if (vars.empty()) return;             // trivially true half the time; skip
@@ -82,17 +94,17 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
     // Build the hashed formula for this round.
     cnf::Formula hashed = formula;
     for (std::size_t i = 0; i < m; ++i) {
-      add_random_xor(hashed, formula.n_vars(), config_.max_xor_width, rng);
+      add_random_xor(hashed, formula.n_vars(), rng);
     }
 
     solver::CdclConfig solver_config;
     solver_config.seed = rng.next_u64();
     solver_config.polarity = solver::CdclConfig::Polarity::kRandom;
-    solver_config.conflict_budget = config_.conflict_budget;
+    solver_config.conflict_budget = kCellConflictBudget;
     solver::CdclSolver solver(solver_config);
     solver.add_formula(hashed);
 
-    // Enumerate the cell up to pivot+1 models (projected onto originals).
+    // Enumerate the cell up to kPivot+1 models (projected onto originals).
     std::vector<cnf::Assignment> cell;
     bool overflow = false;
     bool interrupted = false;
@@ -107,7 +119,7 @@ sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
       cnf::Assignment projected(solver.model().begin(),
                                 solver.model().begin() + formula.n_vars());
       cell.push_back(std::move(projected));
-      if (cell.size() > config_.pivot) {
+      if (cell.size() > kPivot) {
         overflow = true;
         break;
       }

@@ -4,30 +4,20 @@
 // (XOR) hashing over a CDCL oracle (Soos et al., CAV'20 lineage).
 //
 // Each round draws m random parity constraints that partition the solution
-// space into ~2^m cells, enumerates the current cell (bounded by `pivot`),
-// and emits a random subset of it.  m adapts until cells are small enough to
-// enumerate yet non-empty.  Strong uniformity, but every sample costs solver
-// enumeration over a formula enlarged by XOR chains — which is exactly why
-// the real UniGen3 sits at ~0.2-100 solutions/s in the paper's Table II.
+// space into ~2^m cells, enumerates the current cell (bounded by a pivot of
+// 32 models), and emits a random subset of it.  m adapts until cells are
+// small enough to enumerate yet non-empty.  Strong uniformity, but every
+// sample costs solver enumeration over a formula enlarged by XOR chains —
+// which is exactly why the real UniGen3 sits at ~0.2-100 solutions/s in the
+// paper's Table II.
 
 #include "core/sampler.hpp"
 
 namespace hts::baselines {
 
 struct UniGenConfig {
-  /// Cell-size ceiling: enumeration stops at pivot+1 models.
-  std::size_t pivot = 32;
   /// Samples emitted per successfully enumerated cell.
   std::size_t samples_per_cell = 8;
-  /// Per-cell conflict budget (keeps a pathological cell from eating the
-  /// whole time budget).
-  std::int64_t conflict_budget = 200000;
-  /// Maximum variables per parity constraint.  Dense (n/2-wide) hashes give
-  /// the strongest uniformity but are hopeless for plain CDCL — real UniGen
-  /// leans on CryptoMiniSat's Gaussian elimination.  Sparse hashing is the
-  /// standard workaround (cf. Meel et al. on sparse XORs) and preserves the
-  /// sampler's qualitative behaviour.
-  std::size_t max_xor_width = 24;
 };
 
 class UniGenLike : public sampler::Sampler {

@@ -5,14 +5,16 @@
 
 namespace hts::baselines {
 
+/// Flip budget of one local-search restart.
+constexpr std::uint64_t kMaxFlipsPerRestart = 200000;
+
 sampler::RunResult WalkSatSampler::run(const cnf::Formula& formula,
                                        const sampler::RunOptions& options) {
   sampler::RunResult result;
   result.sampler_name = name();
 
   solver::WalkSatConfig ws_config;
-  ws_config.noise = config_.noise;
-  ws_config.max_flips = config_.max_flips_per_restart;
+  ws_config.max_flips = kMaxFlipsPerRestart;
   ws_config.seed = options.seed ^ 0x3a1c5ULL;
   solver::WalkSat walksat(formula, ws_config);
 

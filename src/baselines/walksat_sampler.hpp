@@ -10,21 +10,11 @@
 
 namespace hts::baselines {
 
-struct WalkSatSamplerConfig {
-  double noise = 0.5;
-  std::uint64_t max_flips_per_restart = 200000;
-};
-
 class WalkSatSampler : public sampler::Sampler {
  public:
-  explicit WalkSatSampler(WalkSatSamplerConfig config = {}) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "WalkSAT-restart"; }
   [[nodiscard]] sampler::RunResult run(const cnf::Formula& formula,
                                        const sampler::RunOptions& options) override;
-
- private:
-  WalkSatSamplerConfig config_;
 };
 
 }  // namespace hts::baselines

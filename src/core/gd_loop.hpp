@@ -81,10 +81,10 @@ struct AmplifyConfig {
   std::size_t max_bases_per_collect = 0;
 };
 
-/// The loop's knobs, declared once.  GradientConfig, CircuitSamplerConfig
-/// and DiffSamplerConfig derive from this struct and add only what their
-/// front end needs, so a new knob reaches every sampler and the service
-/// without a mapping to update.
+/// The loop's knobs, declared once.  GradientConfig is this struct, and
+/// CircuitSamplerConfig and DiffSamplerConfig derive from it and add only
+/// what their front end needs, so a new knob reaches every sampler and the
+/// service without a mapping to update.
 struct GdLoopConfig {
   std::size_t batch = 4096;
   int iterations = 5;           // the paper's setting; must be >= 0
@@ -123,8 +123,6 @@ struct GdLoopConfig {
   /// business and are never counted here.  The flat-CNF landscape of the
   /// DiffSampler baseline is where stuck basins show up most.
   std::size_t restart_plateau = 0;
-  /// Embed with the vectorized fast sigmoid (see Engine::Config).
-  bool fast_sigmoid = true;
   /// Run the tape optimizer after compilation (see CompiledCircuit::Options).
   /// Off keeps the raw gate-per-gate tape — note its DCE prunes the same
   /// unconstrained logic cone_only skips, so cone ablations must disable it.

@@ -9,9 +9,10 @@ RunResult GradientSampler::run(const cnf::Formula& formula,
                                const RunOptions& options) {
   RunResult result;
   result.sampler_name = name();
+  extras_ = GdLoopExtras{};
 
   util::Timer setup_timer;
-  const transform::Result problem = transform_cnf(formula, config_.transform);
+  const transform::Result problem = transform::transform_cnf(formula);
   transform_stats_ = problem.stats;
   const double setup_ms = setup_timer.milliseconds();
   if (problem.proven_unsat) {
@@ -30,7 +31,6 @@ RunResult GradientSampler::run(const cnf::Formula& formula,
     gd_problem.sampling_set = formula.sampling_set();
   }
 
-  extras_ = GdLoopExtras{};
   result = run_gd_loop(gd_problem, formula, options, config_, &extras_);
   result.sampler_name = name();
   result.setup_ms = setup_ms;

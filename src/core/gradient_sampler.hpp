@@ -14,21 +14,17 @@
 
 #include "core/gd_loop.hpp"
 #include "core/sampler.hpp"
-#include "prob/engine.hpp"
-#include "tensor/tensor.hpp"
 #include "transform/transform.hpp"
 
 namespace hts::sampler {
 
-/// The paper's sampler takes every loop knob (see GdLoopConfig) plus the
-/// CNF -> circuit transformation's settings.  A formula's sampling set
-/// ('c ind') scopes the amplifier's flips and projected dedup.
-struct GradientConfig : GdLoopConfig {
-  transform::Config transform;
-};
+/// The paper's sampler takes exactly the loop's knobs (see GdLoopConfig);
+/// the CNF -> circuit transformation runs at its defaults.  A formula's
+/// sampling set ('c ind') scopes the amplifier's flips and projected dedup.
+using GradientConfig = GdLoopConfig;
 
-/// The loop part of a sampler configuration: a plain slice, kept for
-/// callers that hold a GradientConfig and want the GdLoopConfig value.
+/// The loop configuration of a GradientConfig: the identity, since the two
+/// are one type.  Kept because perfbench compiles against it.
 [[nodiscard]] inline GdLoopConfig make_gd_loop_config(
     const GradientConfig& config) {
   return config;
@@ -42,19 +38,9 @@ class GradientSampler : public Sampler {
   [[nodiscard]] RunResult run(const cnf::Formula& formula,
                               const RunOptions& options) override;
 
-  /// Per-iteration unique counts of the most recent run (cumulative), for
-  /// the Fig. 3 learning curve.
-  [[nodiscard]] const std::vector<std::size_t>& uniques_per_iteration() const {
-    return extras_.uniques_per_iteration;
-  }
-
-  /// Engine bytes held by the most recent run (Engine::memory_bytes).
-  [[nodiscard]] std::size_t engine_memory_bytes() const {
-    return extras_.engine_memory_bytes;
-  }
-
-  /// Full loop accounting of the most recent run (restart volumes, harvest
-  /// rows/time for the rows-validated/sec bench metric, ...).
+  /// Loop accounting of the most recent run: the Fig. 3 per-iteration
+  /// unique curve, engine bytes, restart volumes, harvest rows/time, ...
+  /// All zero after a formula the transformation proves UNSAT.
   [[nodiscard]] const GdLoopExtras& extras() const { return extras_; }
 
   /// Transformation statistics of the most recent run.

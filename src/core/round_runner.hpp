@@ -49,7 +49,6 @@ namespace hts::sampler {
   engine_config.learning_rate = config.learning_rate;
   engine_config.init_std = config.init_std;
   engine_config.policy = config.policy;
-  engine_config.fast_sigmoid = config.fast_sigmoid;
   if (config.lit_weights.empty()) return engine_config;
   const std::size_t n_inputs = problem.circuit->n_inputs();
   for (std::size_t i = 0; i < n_inputs; ++i) {

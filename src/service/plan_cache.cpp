@@ -22,7 +22,7 @@ namespace {
 }  // namespace
 
 PlanKey plan_fingerprint(const cnf::Formula& formula,
-                         const PlanOptions& options) {
+                         const prob::CompiledCircuit::Options& options) {
   PlanKey key;
   key.n_vars = formula.n_vars();
   key.n_clauses = formula.n_clauses();
@@ -39,22 +39,17 @@ PlanKey plan_fingerprint(const cnf::Formula& formula,
     }
   }
   h = mix(h, (options.cone_only ? 1ULL : 0ULL) |
-                 (options.optimize_tape ? 2ULL : 0ULL));
-  h = mix(h, options.transform.max_block_clauses);
-  h = mix(h, options.transform.simplify_max_vars);
-  h = mix(h, options.transform.count_nots ? 1ULL : 0ULL);
+                 (options.optimize ? 2ULL : 0ULL));
   key.hash = h;
   return key;
 }
 
 CompiledPlan::CompiledPlan(const cnf::Formula& formula,
-                           const PlanOptions& options) {
+                           const prob::CompiledCircuit::Options& options) {
   const util::Timer timer;
-  transformed = transform::transform_cnf(formula, options.transform);
+  transformed = transform::transform_cnf(formula);
   if (!transformed.proven_unsat) {
-    compiled.emplace(
-        transformed.circuit,
-        prob::CompiledCircuit::Options{options.cone_only, options.optimize_tape});
+    compiled.emplace(transformed.circuit, options);
     eval_plan.emplace(transformed.circuit);
   }
   compile_ms = timer.milliseconds();
@@ -64,8 +59,8 @@ PlanCache::PlanCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<const CompiledPlan> PlanCache::get_or_compile(
-    const cnf::Formula& formula, const PlanOptions& options, bool* cache_hit,
-    util::FaultInjector* injector) {
+    const cnf::Formula& formula, const prob::CompiledCircuit::Options& options,
+    bool* cache_hit, util::FaultInjector* injector) {
   const PlanKey key = plan_fingerprint(formula, options);
 
   std::shared_ptr<Entry> entry;

@@ -12,8 +12,10 @@
 //
 // The cache keys on a structural fingerprint of the formula (variable
 // count, clause count, and a position-sensitive hash over every literal)
-// mixed with the compile-relevant options; since the transformation and
-// tape optimizer are deterministic, equal fingerprints yield equal compiled
+// mixed with the tape's compile options (prob::CompiledCircuit::Options,
+// the only compile-relevant part of a job's config; the transformation
+// always runs at its defaults).  Since the transformation and tape
+// optimizer are deterministic, equal fingerprints yield equal compiled
 // circuits.  Entries are shared_ptr-held: eviction (LRU, bounded entry
 // count) drops the cache's reference while running jobs keep theirs.
 // Concurrent misses on one key are collapsed — the first requester
@@ -36,15 +38,6 @@
 
 namespace hts::service {
 
-/// The compile-relevant slice of a job's configuration: everything that
-/// changes the compiled artifacts, nothing that doesn't (seed, deadline,
-/// batch, and learning knobs are per-request and cache-neutral).
-struct PlanOptions {
-  bool cone_only = false;
-  bool optimize_tape = true;
-  transform::Config transform;
-};
-
 struct PlanKey {
   std::uint64_t hash = 0;
   // Cheap structural salts kept alongside the hash so a 64-bit collision
@@ -59,15 +52,16 @@ struct PlanKey {
 /// Structural fingerprint of (formula, options); position-sensitive over
 /// clauses and literals, so permuted formulas are distinct keys (they would
 /// compile to different tapes anyway — the transformation is order-aware).
-[[nodiscard]] PlanKey plan_fingerprint(const cnf::Formula& formula,
-                                       const PlanOptions& options);
+[[nodiscard]] PlanKey plan_fingerprint(
+    const cnf::Formula& formula, const prob::CompiledCircuit::Options& options);
 
 /// Everything a job needs to start sampling a formula, compiled once and
 /// shared read-only between every job holding the pointer.  When the
 /// transformation proves the formula UNSAT the tape/eval plan are absent —
 /// there is nothing to sample.
 struct CompiledPlan {
-  CompiledPlan(const cnf::Formula& formula, const PlanOptions& options);
+  CompiledPlan(const cnf::Formula& formula,
+               const prob::CompiledCircuit::Options& options);
 
   transform::Result transformed;
   std::optional<prob::CompiledCircuit> compiled;
@@ -106,8 +100,8 @@ class PlanCache {
   /// eviction, so a formula whose compile fails forever pins one capacity
   /// slot; acceptable until proven otherwise.)
   [[nodiscard]] std::shared_ptr<const CompiledPlan> get_or_compile(
-      const cnf::Formula& formula, const PlanOptions& options,
-      bool* cache_hit = nullptr,
+      const cnf::Formula& formula,
+      const prob::CompiledCircuit::Options& options, bool* cache_hit = nullptr,
       util::FaultInjector* injector = nullptr) HTS_EXCLUDES(mutex_);
 
   [[nodiscard]] Stats stats() const HTS_EXCLUDES(mutex_);

@@ -109,14 +109,14 @@ struct SamplingRequest {
   std::vector<cnf::Var> sampling_set;
 
   /// Engine/loop tuning.  n_workers and max_rounds are ignored (the service
-  /// owns scheduling); transform/cone_only/optimize_tape participate in the
-  /// plan-cache key, so two requests differing only in those compile
-  /// separate plans.  config.amplify is the per-job flip-amplification knob
-  /// (see sampler::AmplifyConfig) — amplified uniques stream like any other
-  /// and are additionally billed in JobStats.  config.projected_dedup /
-  /// config.diversity_restart / config.lit_weights are the per-job
-  /// projected-sampling knobs (see GdLoopConfig); none of them touch the
-  /// plan-cache key.
+  /// owns scheduling); cone_only/optimize_tape are the compile options in
+  /// the plan-cache key, so two requests differing in either compile
+  /// separate plans, while every other knob shares one.  config.amplify is
+  /// the per-job flip-amplification knob (see sampler::AmplifyConfig) —
+  /// amplified uniques stream like any other and are additionally billed in
+  /// JobStats.  config.projected_dedup / config.diversity_restart /
+  /// config.lit_weights are the per-job projected-sampling knobs (see
+  /// GdLoopConfig).
   sampler::GradientConfig config = default_job_config();
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <limits>
@@ -44,6 +45,9 @@ constexpr double kCostEwmaAlpha = 0.2;
 /// Floor for a degraded GD batch: shrinking below this costs more in
 /// per-round overhead than it saves.
 constexpr std::size_t kMinDegradedBatch = 64;
+/// Retry backoff doubles this many times, then holds: the wait is at most
+/// 1024x ServerConfig::retry_backoff_ms however many retries are allowed.
+constexpr std::uint32_t kMaxBackoffDoublings = 10;
 
 /// Interns an error's site string onto the static fault_sites constants so
 /// the trace event carries a stable pointer (TraceEvent names are never
@@ -644,12 +648,13 @@ void Server::worker_loop(std::size_t worker_index) {
                              error.category == ErrorCategory::kResource;
       if (retryable && job->retries < config_.max_retries &&
           !job->stop.stop_requested()) {
-        // Exponential backoff: base, 2x base, 4x base, ...  The job keeps
-        // its bank and built state, so the retried round re-runs with the
-        // same RNG stream and dedups into the same bank (exactly-once
-        // delivery; see rounds_started).
-        backoff_ms =
-            config_.retry_backoff_ms * static_cast<double>(1u << job->retries);
+        // Exponential backoff: base, 2x base, 4x base, ..., capped at
+        // 1024x base.  The job keeps its bank and built state, so the
+        // retried round re-runs with the same RNG stream and dedups into
+        // the same bank (exactly-once delivery; see rounds_started).
+        backoff_ms = std::ldexp(
+            config_.retry_backoff_ms,
+            static_cast<int>(std::min(job->retries, kMaxBackoffDoublings)));
         ++job->retries;
         retried = true;
         outcome = JobStatus::kRunning;  // re-enqueue below
@@ -726,14 +731,12 @@ JobStatus Server::run_slice(Job& job) {
     // First slice: pull the compiled artifacts from the cache (or compile
     // them, once per distinct formula/options).
     job.fail_site = fault_sites::kCompile;
-    PlanOptions plan_options;
-    plan_options.cone_only = request.config.cone_only;
-    plan_options.optimize_tape = request.config.optimize_tape;
-    plan_options.transform = request.config.transform;
+    const prob::CompiledCircuit::Options compile_options{
+        request.config.cone_only, request.config.optimize_tape};
     const std::uint64_t lookup_begin_ns = util::monotonic_ns();
     bool hit = false;
-    job.plan =
-        cache_.get_or_compile(request.formula, plan_options, &hit, &injector_);
+    job.plan = cache_.get_or_compile(request.formula, compile_options, &hit,
+                                     &injector_);
     const std::uint64_t lookup_end_ns = util::monotonic_ns();
     const double lookup_ms =
         static_cast<double>(lookup_end_ns - lookup_begin_ns) * 1e-6;

@@ -110,7 +110,7 @@ struct ServerConfig {
   /// (ErrorCategory kTransient/kResource) before it finalizes kFailed.
   std::uint32_t max_retries = 2;
   /// Base backoff before a retried job is eligible again; doubles per
-  /// retry (10ms, 20ms, 40ms, ...).
+  /// retry up to 1024x (10 ms, 20 ms, 40 ms, ..., then 10.24 s each).
   double retry_backoff_ms = 10.0;
   /// Fault-injection spec (util::FaultInjector grammar).  Empty = inherit
   /// the HTS_FAULT_SPEC environment variable; "none" = explicitly disarmed

@@ -9,6 +9,12 @@ using cnf::LBool;
 using cnf::Lit;
 using cnf::Var;
 
+/// EVSIDS activity decay per conflict, for variables and learned clauses.
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+/// Luby restart unit (conflicts).
+constexpr std::uint64_t kRestartBase = 100;
+
 CdclSolver::CdclSolver(const CdclConfig& config)
     : config_(config), rng_(config.seed) {}
 
@@ -434,7 +440,7 @@ Status CdclSolver::solve(const std::vector<Lit>& assumptions,
 
   std::uint64_t conflicts_this_solve = 0;
   std::uint64_t restart_count = 0;
-  std::uint64_t restart_limit = config_.restart_base * luby(1);
+  std::uint64_t restart_limit = kRestartBase * luby(1);
   std::uint64_t conflicts_since_restart = 0;
   std::vector<Lit> learnt;
 
@@ -460,8 +466,8 @@ Status CdclSolver::solve(const std::vector<Lit>& assumptions,
         enqueue(learnt[0], static_cast<ClauseRef>(clauses_.size() - 1));
         ++stats_.learned;
       }
-      decay_var_activity();
-      clause_inc_ /= config_.clause_decay;
+      var_inc_ /= kVarDecay;
+      clause_inc_ /= kClauseDecay;
       if (stats_.learned > 0 && stats_.learned % 2000 == 0) reduce_learned();
       if (config_.conflict_budget > 0 &&
           conflicts_this_solve >= static_cast<std::uint64_t>(config_.conflict_budget)) {
@@ -480,7 +486,7 @@ Status CdclSolver::solve(const std::vector<Lit>& assumptions,
       ++stats_.restarts;
       ++restart_count;
       conflicts_since_restart = 0;
-      restart_limit = config_.restart_base * luby(restart_count + 1);
+      restart_limit = kRestartBase * luby(restart_count + 1);
       backtrack(0);
       continue;
     }

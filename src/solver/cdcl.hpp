@@ -25,16 +25,12 @@ namespace hts::solver {
 enum class Status : std::uint8_t { kSat, kUnsat, kUnknown };
 
 struct CdclConfig {
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
   /// Fraction of decisions taken uniformly at random (CMSGen-style
   /// diversification).
   double random_decision_freq = 0.0;
   enum class Polarity : std::uint8_t { kSaved, kFalse, kTrue, kRandom };
   Polarity polarity = Polarity::kSaved;
   std::uint64_t seed = 0x5eed;
-  /// Luby restart unit (conflicts).
-  std::uint64_t restart_base = 100;
   /// <= 0 disables the conflict budget.
   std::int64_t conflict_budget = -1;
 };
@@ -115,7 +111,6 @@ class CdclSolver {
   void backtrack(std::uint32_t level);
   [[nodiscard]] cnf::Lit pick_branch();
   void bump_var(cnf::Var v);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
   void bump_clause(ClauseData& clause);
   void reduce_learned();
   void attach(ClauseRef ref);

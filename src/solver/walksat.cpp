@@ -7,6 +7,9 @@ namespace hts::solver {
 using cnf::Lit;
 using cnf::Var;
 
+/// Probability of a random (non-greedy) flip.
+constexpr double kNoise = 0.5;
+
 WalkSat::WalkSat(const cnf::Formula& formula, WalkSatConfig config)
     : formula_(&formula), config_(config), rng_(config.seed) {
   occurs_.resize(2 * static_cast<std::size_t>(formula.n_vars()));
@@ -89,7 +92,7 @@ std::optional<cnf::Assignment> WalkSat::search(const util::StopToken& stop) {
         unsat_clauses_[rng_.next_below(unsat_clauses_.size())];
     const cnf::Clause& clause = formula_->clause(ci);
     Var chosen = cnf::kInvalidVar;
-    if (rng_.next_bool(config_.noise)) {
+    if (rng_.next_bool(kNoise)) {
       chosen = clause[rng_.next_below(clause.size())].var();
     } else {
       std::size_t best_breaks = static_cast<std::size_t>(-1);

@@ -17,7 +17,6 @@
 namespace hts::solver {
 
 struct WalkSatConfig {
-  double noise = 0.5;  // probability of a random (non-greedy) flip
   std::uint64_t max_flips = 100000;
   std::uint64_t seed = 0x5eed;
 };

@@ -24,11 +24,6 @@ namespace hts::util {
           .count());
 }
 
-/// Same clock in microseconds (Chrome trace-event `ts` units).
-[[nodiscard]] inline double monotonic_us() {
-  return static_cast<double>(monotonic_ns()) * 1e-3;
-}
-
 /// Same clock in milliseconds (the unit every *_ms stats field uses).
 [[nodiscard]] inline double monotonic_ms() {
   return static_cast<double>(monotonic_ns()) * 1e-6;

@@ -19,14 +19,15 @@ std::string slot_str(std::uint32_t slot) {
   return "slot " + std::to_string(slot);
 }
 
-/// Accumulates diagnostics up to the cap; callers consult full() to stop
-/// scanning a rule early without losing the truncation marker.
+/// Diagnostic cap; scanning stops once reached (Report::truncated).
+constexpr std::size_t kMaxDiagnostics = 16;
+
+/// Accumulates diagnostics up to kMaxDiagnostics; callers consult full() to
+/// stop scanning a rule early without losing the truncation marker.
 class Reporter {
  public:
-  explicit Reporter(std::size_t cap) : cap_(cap) {}
-
   [[nodiscard]] bool full() const {
-    return report_.diagnostics.size() >= cap_;
+    return report_.diagnostics.size() >= kMaxDiagnostics;
   }
 
   void add(Rule rule, std::size_t op_index, std::string message) {
@@ -41,7 +42,6 @@ class Reporter {
   [[nodiscard]] Report take() { return std::move(report_); }
 
  private:
-  std::size_t cap_;
   Report report_;
 };
 
@@ -600,13 +600,13 @@ EvalPlanView EvalPlanView::of(const circuit::EvalPlan& plan) {
 }
 
 Report verify_exec_plan(const ExecPlanView& view, Options options) {
-  Reporter reporter(options.max_diagnostics);
+  Reporter reporter;
   verify_exec_impl(view, options, reporter);
   return reporter.take();
 }
 
-Report verify_eval_plan(const EvalPlanView& view, Options options) {
-  Reporter reporter(options.max_diagnostics);
+Report verify_eval_plan(const EvalPlanView& view) {
+  Reporter reporter;
   verify_eval_impl(view, reporter);
   return reporter.take();
 }
@@ -618,7 +618,7 @@ Report verify_exec_plan(const prob::CompiledCircuit& compiled) {
 }
 
 Report verify_eval_plan(const circuit::EvalPlan& plan) {
-  return verify_eval_plan(EvalPlanView::of(plan), Options{});
+  return verify_eval_plan(EvalPlanView::of(plan));
 }
 
 namespace {

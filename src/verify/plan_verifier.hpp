@@ -95,8 +95,8 @@ struct Diagnostic {
 
 struct Report {
   std::vector<Diagnostic> diagnostics;
-  /// True when max_diagnostics stopped the scan early (the plan may hold
-  /// more violations than reported).
+  /// True when the cap of 16 diagnostics stopped the scan early (the plan
+  /// may hold more violations than reported).
   bool truncated = false;
 
   [[nodiscard]] bool ok() const { return diagnostics.empty(); }
@@ -109,8 +109,6 @@ struct Options {
   /// the liveness half of kSlotLiveness): a raw tape legitimately carries
   /// ops that reach no output.
   bool optimized = false;
-  /// Diagnostic cap; scanning stops once reached (Report::truncated).
-  std::size_t max_diagnostics = 16;
 };
 
 // ---- raw-array views ------------------------------------------------------
@@ -155,8 +153,7 @@ struct EvalPlanView {
 
 [[nodiscard]] Report verify_exec_plan(const ExecPlanView& view,
                                       Options options);
-[[nodiscard]] Report verify_eval_plan(const EvalPlanView& view,
-                                      Options options = {});
+[[nodiscard]] Report verify_eval_plan(const EvalPlanView& view);
 
 /// Convenience overload; Options::optimized follows the circuit's own
 /// compile options.

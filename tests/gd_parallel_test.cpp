@@ -119,7 +119,8 @@ TEST(GdParallel, SingleWorkerIsDeterministic) {
   for (std::size_t i = 0; i < ra.solutions.size(); ++i) {
     EXPECT_EQ(ra.solutions[i], rb.solutions[i]) << "solution " << i;
   }
-  EXPECT_EQ(a.uniques_per_iteration(), b.uniques_per_iteration());
+  EXPECT_EQ(a.extras().uniques_per_iteration,
+            b.extras().uniques_per_iteration);
 }
 
 TEST(GdParallel, ParallelWorkersFindOnlyValidSolutions) {
@@ -354,7 +355,7 @@ TEST(GdParallel, PerIterationCurveMonotoneUnderMerge) {
   const cnf::Formula formula = small_formula();
   GradientSampler sampler(small_config(3));
   const RunResult result = sampler.run(formula, fast_options(30));
-  const std::vector<std::size_t>& curve = sampler.uniques_per_iteration();
+  const std::vector<std::size_t>& curve = sampler.extras().uniques_per_iteration;
   ASSERT_FALSE(curve.empty());
   for (std::size_t i = 1; i < curve.size(); ++i) {
     EXPECT_GE(curve[i], curve[i - 1]) << "iteration " << i;

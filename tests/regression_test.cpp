@@ -191,7 +191,7 @@ TEST(GoldenDeterminism, FixedSeedRunsReproduceFingerprintsAcrossPolicies) {
       if (!have_reference) {
         have_reference = true;
         reference = result;
-        reference_curve = sampler.uniques_per_iteration();
+        reference_curve = sampler.extras().uniques_per_iteration;
         EXPECT_GT(reference.n_valid, 0u) << name;
         continue;
       }
@@ -201,7 +201,7 @@ TEST(GoldenDeterminism, FixedSeedRunsReproduceFingerprintsAcrossPolicies) {
           << name << " policy " << tensor::policy_name(policy);
       ASSERT_EQ(result.solutions, reference.solutions)
           << name << " policy " << tensor::policy_name(policy);
-      EXPECT_EQ(sampler.uniques_per_iteration(), reference_curve)
+      EXPECT_EQ(sampler.extras().uniques_per_iteration, reference_curve)
           << name << " policy " << tensor::policy_name(policy);
     }
   }

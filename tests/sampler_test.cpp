@@ -126,7 +126,7 @@ TEST(GradientSampler, UniquesPerIterationMonotone) {
   const cnf::Formula f = small_formula();
   GradientSampler sampler(small_config());
   (void)sampler.run(f, fast_options(20));
-  const auto& curve = sampler.uniques_per_iteration();
+  const auto& curve = sampler.extras().uniques_per_iteration;
   ASSERT_FALSE(curve.empty());
   for (std::size_t i = 1; i < curve.size(); ++i) {
     EXPECT_GE(curve[i], curve[i - 1]) << i;
@@ -163,6 +163,25 @@ TEST(GradientSampler, HandlesUnsat) {
   EXPECT_EQ(result.n_unique, 0u);
   // Either recognized during transformation or simply yields nothing.
   EXPECT_TRUE(result.proven_unsat || result.timed_out);
+}
+
+TEST(GradientSampler, ExtrasDescribeAFormulaProvenUnsat) {
+  // A SAT run fills extras(); a following formula the transformation
+  // proves UNSAT returns before the loop and must not keep describing the
+  // previous one.
+  GradientConfig config = small_config();
+  config.max_rounds = 2;
+  GradientSampler sampler(config);
+  (void)sampler.run(small_formula(), fast_options(1000));
+  ASSERT_GT(sampler.extras().rounds, 0u);
+  ASSERT_FALSE(sampler.extras().uniques_per_iteration.empty());
+
+  const RunResult result = sampler.run(
+      cnf::parse_dimacs_string("p cnf 2 3\n1 2 0\n0\n-1 0\n"), fast_options());
+  ASSERT_TRUE(result.proven_unsat);
+  EXPECT_EQ(sampler.extras().rounds, 0u);
+  EXPECT_TRUE(sampler.extras().uniques_per_iteration.empty());
+  EXPECT_EQ(sampler.extras().engine_memory_bytes, 0u);
 }
 
 TEST(GradientSampler, MalformedConfigsAreRejected) {
@@ -257,7 +276,7 @@ TEST(GradientSampler, TransformStatsExposed) {
   (void)sampler.run(f, fast_options());
   ASSERT_TRUE(sampler.transform_stats().has_value());
   EXPECT_GT(sampler.transform_stats()->cnf_ops, 0u);
-  EXPECT_GT(sampler.engine_memory_bytes(), 0u);
+  EXPECT_GT(sampler.extras().engine_memory_bytes, 0u);
 }
 
 TEST(GradientSampler, SetupTimeSeparatedFromSampling) {

@@ -292,19 +292,57 @@ TEST(ServiceServer, ManyOverlappingMixedClientsAllFinishCorrectly) {
 // --- plan cache --------------------------------------------------------------
 
 TEST(PlanCache, FingerprintSeparatesFormulasAndOptions) {
-  const PlanOptions base;
+  const prob::CompiledCircuit::Options base;
   const PlanKey key_a = plan_fingerprint(formula_a(), base);
   EXPECT_EQ(key_a, plan_fingerprint(formula_a(), base));  // stable
   EXPECT_FALSE(key_a == plan_fingerprint(formula_b(), base));
 
-  PlanOptions cone = base;
+  prob::CompiledCircuit::Options cone = base;
   cone.cone_only = true;
   EXPECT_FALSE(key_a == plan_fingerprint(formula_a(), cone));
+
+  prob::CompiledCircuit::Options raw = base;
+  raw.optimize = false;
+  const PlanKey key_raw = plan_fingerprint(formula_a(), raw);
+  EXPECT_FALSE(key_a == key_raw);
+  cone.optimize = false;
+  EXPECT_FALSE(key_raw == plan_fingerprint(formula_a(), cone));
 
   // Clause order is structural: permuted formulas compile differently.
   cnf::Formula permuted = cnf::parse_dimacs_string(
       "p cnf 7 3\n3 4 0\n1 2 0\n-1 -3 0\n");
   EXPECT_FALSE(key_a == plan_fingerprint(permuted, base));
+}
+
+TEST(PlanCache, RequestsDifferingOnlyInNonCompileKnobsCompileOnce) {
+  Server server(ServerConfig{.n_workers = 1});
+  std::vector<JobHandle> handles;
+  handles.push_back(server.submit(small_request(formula_a(), 10, 1)));
+  {
+    SamplingRequest request = small_request(formula_a(), 10, 2);
+    request.config.learning_rate = 5.0f;
+    handles.push_back(server.submit(std::move(request)));
+  }
+  {
+    SamplingRequest request = small_request(formula_a(), 10, 3);
+    request.config.amplify.enabled = true;
+    handles.push_back(server.submit(std::move(request)));
+  }
+  for (const JobHandle& handle : handles) {
+    EXPECT_EQ(handle.wait(), JobStatus::kCompleted);
+  }
+  EXPECT_FALSE(handles[0].stats().plan_cache_hit);
+  EXPECT_TRUE(handles[1].stats().plan_cache_hit);
+  EXPECT_TRUE(handles[2].stats().plan_cache_hit);
+  const PlanCache::Stats cache = server.plan_cache_stats();
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 2u);
+
+  // A compile option does split the key.
+  SamplingRequest raw = small_request(formula_a(), 10, 1);
+  raw.config.optimize_tape = false;
+  EXPECT_EQ(server.submit(std::move(raw)).wait(), JobStatus::kCompleted);
+  EXPECT_EQ(server.plan_cache_stats().misses, 2u);
 }
 
 TEST(PlanCache, SecondRequestHitsAndSharesThePlan) {
@@ -785,6 +823,26 @@ TEST(ServiceFaults, BadAllocAtEngineBuildIsRetriedThenFailsWhenPersistent) {
   EXPECT_EQ(stats.error.category, ErrorCategory::kResource);
   EXPECT_EQ(stats.error.site, fault_sites::kEngineAlloc);
   EXPECT_EQ(server.stats().retried, 2u);
+}
+
+TEST(ServiceFaults, ManyTransientRetriesStayBoundedAndComplete) {
+  // 35 consecutive transient slice faults: past the 32-bit width of the
+  // retry counter's doubling, so the backoff must hold at its cap (1024x
+  // base) rather than shift out of range.  At a 0.01 ms base the capped
+  // waits sum to about 0.27 s; uncapped they would outlast the deadline.
+  for (const double backoff_ms : {0.0, 0.01}) {
+    ServerConfig config{.n_workers = 1};
+    config.fault_spec = "slice:every=1:max=35:kind=transient";
+    config.max_retries = 40;
+    config.retry_backoff_ms = backoff_ms;
+    Server server(config);
+    SamplingRequest request = small_request(formula_a(), 10);
+    request.deadline_ms = 30000.0;
+    const JobHandle handle = server.submit(std::move(request));
+    EXPECT_EQ(handle.wait(), JobStatus::kCompleted) << backoff_ms;
+    EXPECT_EQ(handle.stats().retries, 35u) << backoff_ms;
+    EXPECT_EQ(server.stats().retried, 35u) << backoff_ms;
+  }
 }
 
 TEST(ServiceFaults, BlockedNextWakesToEndOfStreamWhenTheJobFails) {
