@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
           .field("cse_eliminated", compiled.opt_stats().cse_eliminated)
           .field("n_levels", plan.n_levels())
           .field("max_level_width", plan.max_width())
-          .field("n_opcode_runs", compiled.opt_stats().n_opcode_runs)
-          .field("max_run_length", compiled.opt_stats().max_run_length)
+          .field("n_opcode_runs", plan.n_runs())
+          .field("max_run_length", plan.max_run_length())
           .field("rows_validated", run.extras.rows_validated)
           .field("harvest_ms", run.extras.harvest_ms)
           .field("harvest_rows_per_worker_sec", harvest_rows_per_worker_sec);

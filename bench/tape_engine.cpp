@@ -269,11 +269,11 @@ int main(int argc, char** argv) {
           .field("n_levels", row.compiled->plan().n_levels())
           .field("max_level_width", row.compiled->plan().max_width())
           .field("mean_level_width", plan_mean_width(row.compiled->plan()))
-          .field("n_opcode_runs", row.compiled->opt_stats().n_opcode_runs)
-          .field("max_run_length", row.compiled->opt_stats().max_run_length)
+          .field("n_opcode_runs", row.compiled->plan().n_runs())
+          .field("max_run_length", row.compiled->plan().max_run_length())
           .field("mean_run_length",
                  mean_run_length(row.compiled->n_ops(),
-                                 row.compiled->opt_stats().n_opcode_runs));
+                                 row.compiled->plan().n_runs()));
       json.add(record);
       // The optimizer acceptance bar counts serial rows only — a pooled
       // policy doubling over baseline is thread parallelism, not the tape
@@ -294,8 +294,8 @@ int main(int argc, char** argv) {
                 plan.n_levels(), plan.max_width(), mean_width,
                 width_histogram(plan).c_str());
     std::printf("  engine runs: %zu (max %zu, mean %.1f per switch)\n",
-                stats.n_opcode_runs, stats.max_run_length,
-                mean_run_length(opt.n_ops(), stats.n_opcode_runs));
+                plan.n_runs(), plan.max_run_length(),
+                mean_run_length(opt.n_ops(), plan.n_runs()));
 
     // ---- harvest throughput: scalar eval64 vs compiled word plan ----
     const circuit::EvalPlan eval_plan(instance.circuit);
@@ -312,14 +312,14 @@ int main(int argc, char** argv) {
             ? compiled_harvest.rows_per_sec() / scalar.rows_per_sec()
             : 0.0;
     if (harvest_speedup >= 2.0) ++harvest_doubled;
-    const circuit::EvalPlanStats& hstats = eval_plan.stats();
-    const double mean_run = mean_run_length(hstats.n_ops, hstats.n_runs);
-    harvest_table.add_row({name, "scalar", std::to_string(hstats.n_ops), "-",
+    const auto& hplan = eval_plan.plan();
+    const double mean_run = mean_run_length(hplan.n_ops(), hplan.n_runs());
+    harvest_table.add_row({name, "scalar", std::to_string(hplan.n_ops()), "-",
                            "-", util::format_grouped(scalar.rows_per_sec(), 1),
                            "1.00x"});
     harvest_table.add_row(
-        {name, "plan", std::to_string(hstats.n_ops),
-         std::to_string(hstats.n_runs), util::format_fixed(mean_run, 1),
+        {name, "plan", std::to_string(hplan.n_ops()),
+         std::to_string(hplan.n_runs()), util::format_fixed(mean_run, 1),
          util::format_grouped(compiled_harvest.rows_per_sec(), 1),
          util::format_speedup(harvest_speedup)});
     const HarvestResult* harvest_rows[] = {&scalar, &compiled_harvest};
@@ -333,11 +333,12 @@ int main(int argc, char** argv) {
           .field("elapsed_ms", harvest_rows[h]->elapsed_ms)
           .field("harvest_rows_per_sec", harvest_rows[h]->rows_per_sec())
           .field("harvest_speedup", h == 0 ? 1.0 : harvest_speedup)
-          .field("eval_ops", hstats.n_ops)
-          .field("eval_levels", hstats.n_levels)
-          .field("eval_runs", hstats.n_runs)
+          .field("eval_ops", hplan.n_ops())
+          .field("eval_levels", hplan.n_levels())
+          .field("eval_runs", hplan.n_runs())
           .field("eval_mean_run_length", mean_run)
-          .field("eval_temp_slots", hstats.n_temp_slots);
+          .field("eval_temp_slots",
+                 eval_plan.n_slots() - eval_plan.n_signals());
       json.add(record);
     }
   }

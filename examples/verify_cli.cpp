@@ -27,24 +27,26 @@ namespace {
 
 using namespace hts;
 
-bool report_exec(const char* label, const prob::CompiledCircuit& compiled) {
-  const verify::Report report = verify::verify_exec_plan(compiled);
-  const prob::OptStats& stats = compiled.opt_stats();
+/// Prints one artifact's plan shape and verdict; true when it verified.
+template <typename Op>
+bool print_report(const char* label, std::size_t n_slots,
+                  const util::LevelPlan<Op>& plan,
+                  const verify::Report& report) {
   std::printf("%-22s %6zu ops  %5zu slots  %4zu levels  %5zu runs : %s\n",
-              label, compiled.n_ops(), compiled.n_slots(), stats.n_levels,
-              stats.n_opcode_runs, report.ok() ? "ok" : "FAILED");
+              label, plan.n_ops(), n_slots, plan.n_levels(), plan.n_runs(),
+              report.ok() ? "ok" : "FAILED");
   if (!report.ok()) std::printf("%s\n", report.to_string().c_str());
   return report.ok();
 }
 
+bool report_exec(const char* label, const prob::CompiledCircuit& compiled) {
+  return print_report(label, compiled.n_slots(), compiled.plan(),
+                      verify::verify_exec_plan(compiled));
+}
+
 bool report_eval(const char* label, const circuit::EvalPlan& plan) {
-  const verify::Report report = verify::verify_eval_plan(plan);
-  const circuit::EvalPlanStats& stats = plan.stats();
-  std::printf("%-22s %6zu ops  %5zu slots  %4zu levels  %5zu runs : %s\n",
-              label, stats.n_ops, plan.n_slots(), stats.n_levels,
-              stats.n_runs, report.ok() ? "ok" : "FAILED");
-  if (!report.ok()) std::printf("%s\n", report.to_string().c_str());
-  return report.ok();
+  return print_report(label, plan.n_slots(), plan.plan(),
+                      verify::verify_eval_plan(plan));
 }
 
 }  // namespace

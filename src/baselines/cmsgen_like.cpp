@@ -10,6 +10,7 @@ constexpr double kRandomDecisionFreq = 0.15;
 
 sampler::RunResult CmsGenLike::run(const cnf::Formula& formula,
                                    const sampler::RunOptions& options) {
+  sampler::require_run_bound(options);
   sampler::RunResult result;
   result.sampler_name = name();
 

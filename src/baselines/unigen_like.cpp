@@ -68,6 +68,7 @@ void add_random_xor(cnf::Formula& formula, Var n_original, util::Rng& rng) {
 
 sampler::RunResult UniGenLike::run(const cnf::Formula& formula,
                                    const sampler::RunOptions& options) {
+  sampler::require_run_bound(options);
   sampler::RunResult result;
   result.sampler_name = name();
 

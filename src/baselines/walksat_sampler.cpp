@@ -10,6 +10,7 @@ constexpr std::uint64_t kMaxFlipsPerRestart = 200000;
 
 sampler::RunResult WalkSatSampler::run(const cnf::Formula& formula,
                                        const sampler::RunOptions& options) {
+  sampler::require_run_bound(options);
   sampler::RunResult result;
   result.sampler_name = name();
 

@@ -1,10 +1,7 @@
 #include "circuit/eval_plan.hpp"
 
-#include <algorithm>
-
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
-#include "util/plan_order.hpp"
 #include "verify/plan_verifier.hpp"
 
 namespace hts::circuit {
@@ -61,19 +58,12 @@ EvalPlan::EvalPlan(const Circuit& circuit) {
   input_signal_ = circuit.inputs();
   outputs_ = circuit.outputs();
 
-  // ---- binarize: one 2-input word op per tree node ----
-  // Ops are emitted in topological order (operands always reference existing
-  // slots), unsorted; levelization below reorders them.
-  std::vector<WordOp> op;
-  std::vector<std::uint32_t> dst;
-  std::vector<std::uint32_t> a;
-  std::vector<std::uint32_t> b;
-  auto emit = [&](WordOp o, std::uint32_t d, std::uint32_t x, std::uint32_t y) {
-    op.push_back(o);
-    dst.push_back(d);
-    a.push_back(x);
-    b.push_back(y);
-  };
+  // ---- binarize: one 2-input word op per tree node, in topological order
+  // (operands always reference existing slots); the shared builder then
+  // levelizes them.
+  std::vector<util::PlanOp<WordOp>> ops;
+  auto emit = [&ops](WordOp o, std::uint32_t d, std::uint32_t x,
+                     std::uint32_t y) { ops.push_back({o, d, x, y}); };
   std::vector<std::uint32_t> frontier;
   for (SignalId s = 0; s < circuit.n_signals(); ++s) {
     const Gate& gate = circuit.gate(s);
@@ -121,57 +111,10 @@ EvalPlan::EvalPlan(const Circuit& circuit) {
     }
   }
 
-  // ---- levelize: ASAP levels over the slot dependency DAG (shared rule,
-  // util/plan_order.hpp), then an opcode sort inside each level so
-  // same-opcode ops sit contiguously — the run-length dispatch below
-  // executes one switch per run, not per op.  Ops of one level are mutually
-  // independent, so any within-level order is exact.
-  const std::size_t n = op.size();
-  util::LevelOrder levels = util::levelize_asap(
-      n, n_slots_,
-      [&op, &a, &b](std::size_t i,
-                    const std::vector<std::uint32_t>& slot_level) {
-        std::uint32_t lvl = slot_level[a[i]];
-        if (word_op_is_binary(op[i])) lvl = std::max(lvl, slot_level[b[i]]);
-        return lvl;
-      },
-      [&dst](std::size_t i) { return dst[i]; });
-  const auto n_levels = static_cast<std::uint32_t>(levels.n_levels());
-  const std::vector<std::uint32_t>& level_begin = levels.level_begin;
-  std::vector<std::uint32_t>& order = levels.order;
-  for (std::uint32_t l = 0; l < n_levels; ++l) {
-    std::stable_sort(order.begin() + level_begin[l],
-                     order.begin() + level_begin[l + 1],
-                     [&op](std::uint32_t x, std::uint32_t y) {
-                       return static_cast<std::uint8_t>(op[x]) <
-                              static_cast<std::uint8_t>(op[y]);
-                     });
-  }
-
-  op_.resize(n);
-  dst_.resize(n);
-  a_.resize(n);
-  b_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t i = order[k];
-    op_[k] = op[i];
-    dst_[k] = dst[i];
-    a_[k] = a[i];
-    b_[k] = b[i];
-  }
-
-  // ---- run boundaries: maximal same-opcode stretches within a level ----
-  run_begin_ = util::partition_opcode_runs(op_, level_begin);
-
-  stats_.n_ops = n;
-  stats_.n_temp_slots = n_slots_ - n_signals_;
-  stats_.n_levels = n_levels;
-  for (std::size_t l = 0; l < n_levels; ++l) {
-    stats_.max_level_width = std::max<std::size_t>(
-        stats_.max_level_width, level_begin[l + 1] - level_begin[l]);
-  }
-  stats_.n_runs = run_begin_.size() - 1;
-  stats_.max_run_length = util::max_run_length(run_begin_);
+  // Ops of one level are mutually independent, so the builder's opcode sort
+  // inside each level is exact, and the run-length dispatch in eval_block
+  // executes one switch per run, not per op.
+  plan_ = util::build_level_plan(ops, n_slots_, word_op_is_binary);
 
   // Self-check hook: every plan this process builds is proven well-formed
   // when plan verification is on (Debug default; HTS_VERIFY_PLANS
@@ -205,19 +148,19 @@ void EvalPlan::eval_block(const std::uint64_t* packed, std::size_t n_words,
   // Run-length dispatch: one opcode switch per run, a branch-free inner loop
   // per run body, one u64x4 op per (plan op, block).  Unary plan entries
   // mirror `a` into `b`, so every kernel can take both operands.
-  auto run = [this, slots](std::uint32_t begin, std::uint32_t end,
-                           auto&& kernel) {
+  const util::LevelPlan<WordOp>& p = plan_;
+  auto run = [&p, slots](std::uint32_t begin, std::uint32_t end,
+                         auto&& kernel) {
     for (std::uint32_t i = begin; i < end; ++i) {
-      simd::store_u64(slots + dst_[i] * kBlockWords,
-                      kernel(simd::load_u64(slots + a_[i] * kBlockWords),
-                             simd::load_u64(slots + b_[i] * kBlockWords)));
+      simd::store_u64(slots + p.dst[i] * kBlockWords,
+                      kernel(simd::load_u64(slots + p.a[i] * kBlockWords),
+                             simd::load_u64(slots + p.b[i] * kBlockWords)));
     }
   };
-  const std::size_t n_runs = run_begin_.size() - 1;
-  for (std::size_t k = 0; k < n_runs; ++k) {
-    const std::uint32_t begin = run_begin_[k];
-    const std::uint32_t end = run_begin_[k + 1];
-    switch (op_[begin]) {
+  for (std::size_t k = 0; k < p.n_runs(); ++k) {
+    const std::uint32_t begin = p.run_begin[k];
+    const std::uint32_t end = p.run_begin[k + 1];
+    switch (p.op[begin]) {
       case WordOp::kCopy:
         run(begin, end, [](u64x4 a, u64x4) { return a; });
         break;

@@ -6,16 +6,15 @@
 // per-signal value vector, walks the gate list with a per-gate type switch,
 // and loops n-ary fanins one at a time.  That interpreter sits on the harvest
 // hot path — every hardened batch is validated 64 rows per word — so this
-// module is its compiled analogue of prob::CompiledCircuit/ExecPlan for the
-// discrete side of the loop:
+// module compiles the discrete side of the loop into the same plan type the
+// engine executes (util::LevelPlan, built by util/plan_order.hpp):
 //
 //   - gates binarize into 2-input word ops (balanced reduction trees, so an
 //     n-ary gate costs ceil(log2 n) levels instead of a depth-(n-1) chain;
 //     bitwise logic is associative, so the result is exactly eval64's),
-//   - ops are assigned ASAP levels and regrouped level by level, and inside
-//     each level sorted by opcode so same-opcode *runs* emerge; execution
-//     dispatches once per run and streams the run body through a tight inner
-//     loop instead of switching per op,
+//   - the shared builder levelizes them and sorts each level by opcode, so
+//     execution dispatches once per same-opcode run and streams the run
+//     body through a tight inner loop instead of switching per op,
 //   - evaluation is blocked kBlockWords words at a time: one tensor::simd
 //     u64x4 op evaluates a gate for 4 x 64 = 256 batch rows.
 //
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "util/plan_order.hpp"
 
 namespace hts::circuit {
 
@@ -51,16 +51,6 @@ enum class WordOp : std::uint8_t {
   return op != WordOp::kCopy && op != WordOp::kNot;
 }
 
-/// Plan shape, for bench JSON and tests (mean run length = n_ops / n_runs).
-struct EvalPlanStats {
-  std::size_t n_ops = 0;
-  std::size_t n_temp_slots = 0;
-  std::size_t n_levels = 0;
-  std::size_t max_level_width = 0;
-  std::size_t n_runs = 0;
-  std::size_t max_run_length = 0;
-};
-
 class EvalPlan {
  public:
   /// Words evaluated per block: one u64x4 vector op per plan op.
@@ -76,7 +66,6 @@ class EvalPlan {
   [[nodiscard]] std::size_t n_slots() const { return n_slots_; }
   [[nodiscard]] std::size_t n_signals() const { return n_signals_; }
   [[nodiscard]] std::size_t n_inputs() const { return input_signal_.size(); }
-  [[nodiscard]] const EvalPlanStats& stats() const { return stats_; }
 
   /// Scratch u64s one eval_block call needs (layout: slot-major,
   /// slots[slot * kBlockWords + lane]).
@@ -110,19 +99,9 @@ class EvalPlan {
   [[nodiscard]] std::vector<std::uint64_t> eval64(
       const std::vector<std::uint64_t>& input_words) const;
 
-  // Read-only plan internals, exposed for the plan-IR verifier
-  // (verify/plan_verifier.hpp) and structural tests.
-  [[nodiscard]] const std::vector<WordOp>& ops() const { return op_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& dsts() const { return dst_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& operand_a() const {
-    return a_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& operand_b() const {
-    return b_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& run_begin() const {
-    return run_begin_;
-  }
+  /// The levelized word ops eval_block executes; read-only, for the plan-IR
+  /// verifier (verify/plan_verifier.hpp), benches and structural tests.
+  [[nodiscard]] const util::LevelPlan<WordOp>& plan() const { return plan_; }
   [[nodiscard]] const std::vector<SignalId>& input_signals() const {
     return input_signal_;
   }
@@ -137,19 +116,11 @@ class EvalPlan {
  private:
   std::size_t n_signals_ = 0;
   std::size_t n_slots_ = 0;
-  /// Parallel arrays ordered by (level, opcode): the compiled plan.
-  std::vector<WordOp> op_;
-  std::vector<std::uint32_t> dst_;
-  std::vector<std::uint32_t> a_;
-  std::vector<std::uint32_t> b_;
-  /// Run k spans plan indices [run_begin_[k], run_begin_[k + 1]); all ops of
-  /// a run share one opcode and one level.
-  std::vector<std::uint32_t> run_begin_;
+  util::LevelPlan<WordOp> plan_;
   /// Signal ids of the circuit's inputs, in inputs() order.
   std::vector<SignalId> input_signal_;
   std::vector<ConstSlot> const_slots_;
   std::vector<OutputConstraint> outputs_;
-  EvalPlanStats stats_;
 };
 
 }  // namespace hts::circuit

@@ -203,6 +203,7 @@ void validate_config(const GdLoopConfig& config, std::size_t n_vars) {
 RunResult run_gd_loop(const GdProblem& problem, const cnf::Formula& formula,
                       const RunOptions& options, const GdLoopConfig& config,
                       GdLoopExtras* extras) {
+  require_run_bound(options, config.max_rounds > 0);
   validate_config(config, problem.var_signal->size());
   prob::CompiledCircuit compiled(
       *problem.circuit,

@@ -247,8 +247,9 @@ void validate_config(const GdLoopConfig& config, std::size_t n_vars);
 /// amplifier base, so a budget or cancel ends the run within one step that
 /// cannot be interrupted, with partial results returned cleanly.  `formula`
 /// is only consulted for RunOptions::verify_against_cnf.  Throws
-/// std::invalid_argument, before building anything, when validate_config
-/// rejects `config`.
+/// std::invalid_argument, before building anything, when the run has no
+/// bound (require_run_bound, with config.max_rounds as the round cap) or
+/// validate_config rejects `config`.
 [[nodiscard]] RunResult run_gd_loop(const GdProblem& problem,
                                     const cnf::Formula& formula,
                                     const RunOptions& options,

@@ -7,6 +7,8 @@ namespace hts::sampler {
 
 RunResult GradientSampler::run(const cnf::Formula& formula,
                                const RunOptions& options) {
+  // run_gd_loop checks too, but only after the transform ran.
+  require_run_bound(options, config_.max_rounds > 0);
   RunResult result;
   result.sampler_name = name();
   extras_ = GdLoopExtras{};

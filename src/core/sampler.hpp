@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,12 @@
 
 namespace hts::sampler {
 
+/// How long a run goes on, and what it keeps.  A run needs a bound that
+/// ends it on every formula: budget_ms > 0, a `stop` token that can fire,
+/// or, for the gradient-descent samplers, GdLoopConfig::max_rounds > 0.
+/// min_solutions alone is no such bound (it ends a run only when the
+/// formula has that many models), so every sampler rejects a run without
+/// one through require_run_bound.
 struct RunOptions {
   /// Stop once this many unique solutions are collected (the paper uses
   /// 1000).  0 means "run until the budget expires".
@@ -47,6 +54,20 @@ struct RunOptions {
   /// cancel, shutdown) plus its deadline.
   util::StopToken stop;
 };
+
+/// Throws std::invalid_argument unless `options` (or the caller's round
+/// cap, `round_capped`) bounds the run on every formula; see RunOptions.
+/// Samplers call it before any set-up work.
+inline void require_run_bound(const RunOptions& options,
+                              bool round_capped = false) {
+  if (round_capped ||
+      options.stop.with_budget(options.budget_ms).stop_possible()) {
+    return;
+  }
+  throw std::invalid_argument(
+      "run has no bound that ends it on every formula: set budget_ms > 0, "
+      "pass a stop token, or cap the rounds");
+}
 
 struct ProgressPoint {
   double elapsed_ms;

@@ -1,11 +1,10 @@
 #include "prob/compiled.hpp"
 
-#include <algorithm>
 #include <array>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
-#include "util/plan_order.hpp"
 #include "verify/plan_verifier.hpp"
 
 namespace hts::prob {
@@ -105,7 +104,7 @@ CompiledCircuit::CompiledCircuit(const circuit::Circuit& circuit, Options option
   }
 
   if (options.optimize) optimize();
-  build_plan();
+  plan_ = util::build_level_plan(tape_, n_slots_, op_is_binary);
 
   // Self-check hook: prove the finished tape + plan well-formed when plan
   // verification is on (Debug default; HTS_VERIFY_PLANS overrides).  A
@@ -378,57 +377,6 @@ void CompiledCircuit::optimize() {
   n_slots_ = next;
   opt_stats_.ops_after = tape_.size();
   opt_stats_.slots_after = n_slots_;
-}
-
-// Levelization: ASAP levels over the slot dependency DAG (inputs and
-// constants sit below level 0; an op's level is the max of its operand
-// producers' levels).  The tape is already topologically ordered, so one
-// forward walk assigns every level; a stable counting sort then regroups
-// ops by level in tape order, and a stable sort by opcode orders each
-// level.  Ops sharing an operand therefore sit in (opcode, tape) order, so
-// the reverse walk accumulates each slot's gradient in a fixed order.
-void CompiledCircuit::build_plan() {
-  plan_ = ExecPlan{};
-  const std::size_t n = tape_.size();
-  util::LevelOrder levels = util::levelize_asap(
-      n, n_slots_,
-      [this](std::size_t i, const std::vector<std::uint32_t>& slot_level) {
-        const TapeOp& t = tape_[i];
-        std::uint32_t lvl = slot_level[t.a];
-        if (op_is_binary(t.op)) lvl = std::max(lvl, slot_level[t.b]);
-        return lvl;
-      },
-      [this](std::size_t i) { return tape_[i].dst; });
-  plan_.level_begin = std::move(levels.level_begin);
-  std::vector<std::uint32_t>& order = levels.order;
-  for (std::size_t l = 0; l + 1 < plan_.level_begin.size(); ++l) {
-    std::stable_sort(order.begin() + plan_.level_begin[l],
-                     order.begin() + plan_.level_begin[l + 1],
-                     [this](std::uint32_t x, std::uint32_t y) {
-                       return tape_[x].op < tape_[y].op;
-                     });
-  }
-
-  plan_.op.resize(n);
-  plan_.dst.resize(n);
-  plan_.a.resize(n);
-  plan_.b.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const TapeOp& t = tape_[order[k]];
-    plan_.op[k] = t.op;
-    plan_.dst[k] = t.dst;
-    plan_.a[k] = t.a;
-    plan_.b[k] = op_is_binary(t.op) ? t.b : t.a;
-  }
-
-  // Opcode runs: maximal same-opcode stretches of the plan order, split at
-  // level boundaries.
-  plan_.run_begin = util::partition_opcode_runs(plan_.op, plan_.level_begin);
-
-  opt_stats_.n_levels = plan_.n_levels();
-  opt_stats_.max_level_width = plan_.max_width();
-  opt_stats_.n_opcode_runs = plan_.n_runs();
-  opt_stats_.max_run_length = util::max_run_length(plan_.run_begin);
 }
 
 }  // namespace hts::prob

@@ -32,16 +32,16 @@
 // what the pass did for benches and tests.
 //
 // After optimization (or directly after raw compilation when the optimizer
-// is off) the tape is *levelized*: ops are assigned ASAP levels over the
-// slot dependency DAG and regrouped into a structure-of-arrays ExecPlan.
-// Ops within a level are mutually independent (every operand is produced at
-// a strictly lower level), so each level can be sorted by opcode into long
-// same-opcode runs without changing any result.
+// is off) the tape is *levelized* into an ExecPlan, the plan format the
+// harvest side's circuit::EvalPlan shares (util/plan_order.hpp): ops get
+// ASAP levels over the slot dependency DAG, and each level is sorted by
+// opcode into long same-opcode runs without changing any result.
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "util/plan_order.hpp"
 
 namespace hts::prob {
 
@@ -60,12 +60,8 @@ enum class OpCode : std::uint8_t {
   kXnor,
 };
 
-struct TapeOp {
-  OpCode op;
-  std::uint32_t dst;
-  std::uint32_t a;
-  std::uint32_t b;  // unused for kCopy/kNot
-};
+/// One tape op; `b` is unused for kCopy/kNot.
+using TapeOp = util::PlanOp<OpCode>;
 
 /// True for the opcodes that read two operand slots.
 [[nodiscard]] constexpr bool op_is_binary(OpCode op) {
@@ -76,8 +72,7 @@ inline constexpr std::int32_t kNoSlot = -1;
 
 /// What the post-compile optimization pass did (bench/tape_engine reports
 /// these; the acceptance bar is a non-trivial ops_before -> ops_after drop).
-/// The level fields at the bottom describe the execution plan and are filled
-/// for raw tapes too; everything else is zero when Options::optimize is off.
+/// All zero when Options::optimize is off; plan() reports the plan's shape.
 struct OptStats {
   std::size_t ops_before = 0;
   std::size_t ops_after = 0;
@@ -88,57 +83,14 @@ struct OptStats {
   std::size_t cse_eliminated = 0;
   std::size_t nots_fused = 0;
   std::size_t ops_dead = 0;
-  // Execution-plan shape (see ExecPlan): level count and the widest level.
-  std::size_t n_levels = 0;
-  std::size_t max_level_width = 0;
-  // Opcode-run shape (see ExecPlan::run_begin): how many same-opcode runs
-  // the plan order produces and the longest one.  Mean run length is
-  // ops_after / n_opcode_runs; longer runs mean fewer kernel-dispatch
-  // switches per sweep.
-  std::size_t n_opcode_runs = 0;
-  std::size_t max_run_length = 0;
 };
 
-/// Levelized, structure-of-arrays view of the tape.
-///
-/// Ops are regrouped by ASAP level; within a level every operand slot is
-/// produced at a strictly lower level, so the level's ops can execute in any
-/// order for the *forward* pass.  The backward pass accumulates gradients
-/// into operand slots, and two ops of one level may share an operand; the
-/// plan order (reversed) fixes the order of those accumulations, so every
-/// executor that walks the plan gets bit-identical gradients.
-struct ExecPlan {
-  // Parallel arrays, one entry per tape op, ordered by (level, opcode,
-  // tape index).
-  std::vector<OpCode> op;
-  std::vector<std::uint32_t> dst;
-  std::vector<std::uint32_t> a;
-  std::vector<std::uint32_t> b;
-  /// Level l spans plan indices [level_begin[l], level_begin[l + 1]).
-  std::vector<std::uint32_t> level_begin;
-  /// Opcode runs: run k spans plan indices [run_begin[k], run_begin[k + 1]),
-  /// every op of a run shares one opcode, and runs never cross a level
-  /// boundary.  The engine dispatches kernels once per run (a run-length
-  /// inner loop replaces the per-op switch); the plan's within-level opcode
-  /// order makes one run per (level, opcode).
-  std::vector<std::uint32_t> run_begin;
-
-  [[nodiscard]] std::size_t n_ops() const { return op.size(); }
-  [[nodiscard]] std::size_t n_runs() const {
-    return run_begin.empty() ? 0 : run_begin.size() - 1;
-  }
-  [[nodiscard]] std::size_t n_levels() const {
-    return level_begin.empty() ? 0 : level_begin.size() - 1;
-  }
-  [[nodiscard]] std::size_t width(std::size_t level) const {
-    return level_begin[level + 1] - level_begin[level];
-  }
-  [[nodiscard]] std::size_t max_width() const {
-    std::size_t w = 0;
-    for (std::size_t l = 0; l < n_levels(); ++l) w = std::max(w, width(l));
-    return w;
-  }
-};
+/// The levelized tape the engine executes.  The backward pass accumulates
+/// gradients into operand slots, and two ops of one level may share an
+/// operand; the plan order (reversed) fixes the order of those
+/// accumulations, so every executor that walks the plan gets bit-identical
+/// gradients.
+using ExecPlan = util::LevelPlan<OpCode>;
 
 class CompiledCircuit {
  public:
@@ -192,8 +144,7 @@ class CompiledCircuit {
   /// Number of executed probabilistic ops per batch row per forward pass.
   [[nodiscard]] std::size_t n_ops() const { return tape_.size(); }
 
-  /// Optimization-pass statistics; the level fields are filled for raw
-  /// tapes too, the rewrite counters only when Options::optimize is on.
+  /// Optimization-pass statistics (zero when Options::optimize is off).
   [[nodiscard]] const OptStats& opt_stats() const { return opt_stats_; }
 
   /// Levelized execution plan over tape(); always built (raw or optimized),
@@ -202,7 +153,6 @@ class CompiledCircuit {
 
  private:
   void optimize();
-  void build_plan();
 
   Options options_;
   std::size_t n_slots_ = 0;

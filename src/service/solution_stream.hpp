@@ -147,10 +147,6 @@ class SolutionStream {
     util::LockGuard lock(mutex_);
     return stall_ms_;
   }
-  [[nodiscard]] std::size_t buffered() const HTS_EXCLUDES(mutex_) {
-    util::LockGuard lock(mutex_);
-    return queue_.size();
-  }
 
  private:
   const std::size_t capacity_;

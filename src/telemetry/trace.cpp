@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/env.hpp"
-#include "util/timer.hpp"
 
 namespace hts::telemetry {
 
@@ -85,15 +84,6 @@ void TraceSink::complete(const char* name, const char* cat,
   e.phase = TraceEvent::Phase::kComplete;
   e.ts_ns = begin_ns;
   e.dur_ns = end_ns >= begin_ns ? end_ns - begin_ns : 0;
-  record(e);
-}
-
-void TraceSink::instant(const char* name, const char* cat) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.ts_ns = util::monotonic_ns();
   record(e);
 }
 
@@ -183,9 +173,6 @@ std::string TraceSink::render_chrome_json() const {
       switch (e.phase) {
         case TraceEvent::Phase::kComplete:
           out << ",\"ph\":\"X\",\"dur\":" << format_us(e.dur_ns);
-          break;
-        case TraceEvent::Phase::kInstant:
-          out << ",\"ph\":\"i\",\"s\":\"t\"";
           break;
         case TraceEvent::Phase::kAsyncBegin:
           out << ",\"ph\":\"b\",\"id\":" << e.id;

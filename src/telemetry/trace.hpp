@@ -3,8 +3,8 @@
 // Span tracing: fixed-capacity per-thread ring buffers of trace events on
 // the process monotonic clock (util::monotonic_ns), drained to Chrome
 // trace-event JSON loadable in Perfetto.  Layout contract:
-//   - one track per worker thread (ph:"X" complete events + ph:"i" instants
-//     recorded on whichever thread did the work), and
+//   - one track per worker thread (ph:"X" complete events recorded on
+//     whichever thread did the work), and
 //   - one async track per job (ph:"b"/"e"/"n" nestable events, cat "job",
 //     id = the job id), covering submit -> finalize with nested queue /
 //     compile / cache_wait / slice / deliver phases.
@@ -41,7 +41,6 @@ void set_trace_enabled(bool on);
 struct TraceEvent {
   enum class Phase : std::uint8_t {
     kComplete,      // ph:"X"  duration on the recording thread's track
-    kInstant,       // ph:"i"  thread-scoped point event
     kAsyncBegin,    // ph:"b"  nestable async begin   (cat+id keyed)
     kAsyncEnd,      // ph:"e"  nestable async end
     kAsyncInstant,  // ph:"n"  nestable async instant
@@ -64,7 +63,6 @@ class TraceSink {
   // Record paths: callers gate on telemetry::trace_enabled() first.
   void complete(const char* name, const char* cat, std::uint64_t begin_ns,
                 std::uint64_t end_ns);
-  void instant(const char* name, const char* cat);
   void async_begin(const char* name, const char* cat, std::uint64_t id,
                    std::uint64_t ts_ns);
   void async_end(const char* name, const char* cat, std::uint64_t id,

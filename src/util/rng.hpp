@@ -61,12 +61,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  [[nodiscard]] std::int64_t next_in_range(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    next_below(static_cast<std::uint64_t>(hi - lo) + 1));
-  }
-
   /// Uniform double in [0, 1).
   [[nodiscard]] double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -112,15 +106,12 @@ class Rng {
     }
   }
 
-  /// A statistically independent child generator (for per-thread streams).
-  [[nodiscard]] Rng fork() { return Rng(next_u64() ^ 0x9e3779b97f4a7c15ULL); }
-
   /// Decorrelated stream `stream_id` of a base seed: the (seed, stream) pair
   /// is expanded through two SplitMix64 steps so worker i's sequence shares
-  /// no lattice structure with worker j's even for adjacent ids.  Unlike
-  /// fork(), the result depends only on (seed, stream_id), never on how much
-  /// of the parent sequence was consumed — round-parallel workers get
-  /// schedule-independent streams.
+  /// no lattice structure with worker j's even for adjacent ids.  The result
+  /// depends only on (seed, stream_id), never on how much of any parent
+  /// sequence was consumed — round-parallel workers get schedule-independent
+  /// streams.
   [[nodiscard]] static Rng stream(std::uint64_t seed, std::uint64_t stream_id) {
     std::uint64_t sm = seed;
     sm = splitmix64(sm) + stream_id * 0x9e3779b97f4a7c15ULL;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "baselines/cmsgen_like.hpp"
@@ -122,6 +123,25 @@ TEST_P(AllBaselines, AsyncStopEndsALongRun) {
   canceller.join();
   EXPECT_LT(timer.milliseconds(), 5000.0) << sampler_ptr->name();
   EXPECT_EQ(result.n_invalid, 0u) << sampler_ptr->name();
+}
+
+TEST_P(AllBaselines, RunWithNoBoundIsRejected) {
+  // A unique target ends a run only on a formula with that many models, so
+  // a run with neither a budget nor a stop source is rejected up front.
+  const cnf::Formula f = small_formula();
+  auto sampler_ptr = make(GetParam());
+  sampler::RunOptions options = fast_options(1);
+  options.budget_ms = 0.0;
+  EXPECT_THROW((void)sampler_ptr->run(f, options), std::invalid_argument)
+      << sampler_ptr->name();
+
+  // A stop source that can fire is a bound, and so is a budget.
+  util::StopSource source;
+  options.stop = source.token();
+  EXPECT_GE(sampler_ptr->run(f, options).n_unique, 1u) << sampler_ptr->name();
+  options.stop = util::StopToken{};
+  options.budget_ms = 8000.0;
+  EXPECT_GE(sampler_ptr->run(f, options).n_unique, 1u) << sampler_ptr->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Baselines, AllBaselines,

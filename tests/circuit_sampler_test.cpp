@@ -154,6 +154,18 @@ TEST(CircuitSampler, MaxRoundsBoundsWork) {
   EXPECT_GT(result.n_valid, 0u);
 }
 
+TEST(CircuitSampler, RunWithNoBoundIsRejected) {
+  const Circuit c = mux_circuit();
+  CircuitSamplerConfig config = fast_config();
+  RunOptions options;
+  options.min_solutions = 1;
+  options.budget_ms = 0.0;
+  EXPECT_THROW((void)CircuitSampler(c, config).run(options),
+               std::invalid_argument);
+  config.max_rounds = 1;  // a round cap is a bound
+  EXPECT_GE(CircuitSampler(c, config).run(options).n_unique, 1u);
+}
+
 TEST(CircuitSampler, MalformedConfigIsRejected) {
   // Bounds lit_weights by the circuit's inputs (its pseudo-variables) and
   // rejects batch 0 before the engine's invariant could abort the process.

@@ -197,17 +197,17 @@ TEST(HarvestDiff, PlanRunsAreOpcodeUniformAndCoverThePlan) {
   for (std::uint64_t seed = 200; seed <= 220; ++seed) {
     util::Rng rng(seed);
     const circuit::Circuit c = random_circuit(rng);
-    const circuit::EvalPlan plan(c);
-    const circuit::EvalPlanStats& stats = plan.stats();
-    if (stats.n_ops == 0) {
-      EXPECT_EQ(stats.n_runs, 0u) << "seed " << seed;
+    const circuit::EvalPlan eval_plan(c);
+    const auto& plan = eval_plan.plan();
+    if (plan.n_ops() == 0) {
+      EXPECT_EQ(plan.n_runs(), 0u) << "seed " << seed;
       continue;
     }
-    EXPECT_GE(stats.n_runs, 1u) << "seed " << seed;
-    EXPECT_LE(stats.n_runs, stats.n_ops) << "seed " << seed;
-    EXPECT_GE(stats.max_run_length, 1u) << "seed " << seed;
-    EXPECT_LE(stats.max_run_length, stats.n_ops) << "seed " << seed;
-    EXPECT_GE(stats.n_levels, 1u) << "seed " << seed;
+    EXPECT_GE(plan.n_runs(), 1u) << "seed " << seed;
+    EXPECT_LE(plan.n_runs(), plan.n_ops()) << "seed " << seed;
+    EXPECT_GE(plan.max_run_length(), 1u) << "seed " << seed;
+    EXPECT_LE(plan.max_run_length(), plan.n_ops()) << "seed " << seed;
+    EXPECT_GE(plan.n_levels(), 1u) << "seed " << seed;
   }
 }
 

@@ -115,7 +115,8 @@ struct MutableEval {
   std::size_t n_slots = 0;
   std::size_t n_signals = 0;
   std::vector<circuit::WordOp> op;
-  std::vector<std::uint32_t> dst, a, b, run_begin;
+  std::vector<std::uint32_t> dst, a, b;
+  std::vector<std::uint32_t> level_begin, run_begin;
   std::vector<circuit::SignalId> inputs;
   std::vector<circuit::EvalPlan::ConstSlot> const_slots;
   std::vector<circuit::OutputConstraint> outputs;
@@ -124,11 +125,12 @@ struct MutableEval {
     MutableEval m;
     m.n_slots = plan.n_slots();
     m.n_signals = plan.n_signals();
-    m.op = plan.ops();
-    m.dst = plan.dsts();
-    m.a = plan.operand_a();
-    m.b = plan.operand_b();
-    m.run_begin = plan.run_begin();
+    m.op = plan.plan().op;
+    m.dst = plan.plan().dst;
+    m.a = plan.plan().a;
+    m.b = plan.plan().b;
+    m.level_begin = plan.plan().level_begin;
+    m.run_begin = plan.plan().run_begin;
     m.inputs = plan.input_signals();
     m.const_slots = plan.const_slots();
     m.outputs = plan.output_constraints();
@@ -143,6 +145,7 @@ struct MutableEval {
     v.dst = dst;
     v.a = a;
     v.b = b;
+    v.level_begin = level_begin;
     v.run_begin = run_begin;
     v.inputs = inputs;
     v.const_slots = const_slots;
@@ -245,7 +248,7 @@ TEST(PlanVerifier, RuntimeSwitchRoundTrips) {
   const CompiledCircuit compiled(instance.circuit);
   const circuit::EvalPlan eval_plan(instance.circuit);
   EXPECT_GT(compiled.n_ops(), 0u);
-  EXPECT_GT(eval_plan.stats().n_ops, 0u);
+  EXPECT_GT(eval_plan.plan().n_ops(), 0u);
   verify::set_verify_plans(false);
   EXPECT_FALSE(verify::plans_verified());
   verify::set_verify_plans(before);
@@ -435,6 +438,42 @@ TEST(EvalPlanMutations, OperandOutOfBoundsIsRejected) {
   if (!circuit::word_op_is_binary(m.op[victim])) m.b[victim] = m.a[victim];
   const Report report = verify::verify_eval_plan(m.view());
   EXPECT_TRUE(has_rule(report, Rule::kSlotBounds)) << rules_of(report);
+}
+
+TEST(EvalPlanMutations, MisplacedLevelBoundaryIsRejected) {
+  // The ExecPlan case over word ops: A = And(x, y) and B = Xor(x, y) at
+  // level 0, C = Or(A, B) at level 1.  Shifting the boundary publishes B at
+  // level 1 while its exact ASAP level stays 0; the order stays topological.
+  MutableEval m;
+  m.n_slots = 5;
+  m.n_signals = 5;
+  m.inputs = {0, 1};
+  m.outputs = {circuit::OutputConstraint{4, true}};
+  m.op = {circuit::WordOp::kAnd, circuit::WordOp::kXor, circuit::WordOp::kOr};
+  m.dst = {2, 3, 4};
+  m.a = {0, 0, 2};
+  m.b = {1, 1, 3};
+  m.level_begin = {0, 2, 3};
+  m.run_begin = {0, 1, 2, 3};
+  ASSERT_TRUE(verify::verify_eval_plan(m.view()).ok());
+
+  m.level_begin = {0, 1, 3};
+  const Report report = verify::verify_eval_plan(m.view());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(has_rule(report, Rule::kLevelOrder)) << rules_of(report);
+  EXPECT_FALSE(has_rule(report, Rule::kDefBeforeUse)) << rules_of(report);
+}
+
+TEST(EvalPlanMutations, RunCrossingALevelBoundaryIsRejected) {
+  MutableEval m = healthy_eval();
+  ASSERT_GT(m.level_begin.size(), 2u);
+  const std::uint32_t boundary = m.level_begin[1];
+  const auto it =
+      std::find(m.run_begin.begin(), m.run_begin.end(), boundary);
+  ASSERT_NE(it, m.run_begin.end());
+  m.run_begin.erase(it);  // the first level's last run now crosses into L1
+  const Report report = verify::verify_eval_plan(m.view());
+  EXPECT_TRUE(has_rule(report, Rule::kRunPartition)) << rules_of(report);
 }
 
 TEST(EvalPlanMutations, SplitRunInsideALevelIsRejected) {

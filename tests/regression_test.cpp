@@ -362,11 +362,12 @@ TEST(GoldenFingerprint, CircuitSampler) {
 }
 
 TEST(GoldenFingerprint, DiffSampler) {
-  // DiffSamplerConfig had no round limit when this hash was recorded, so a
-  // unique target stops the run.
+  // A unique target stops the run, in its first round; the round cap only
+  // bounds it (a run needs a bound that fires on every formula).
   const benchgen::Instance instance = fingerprint_instance("or-50-10-7-UC-10");
   baselines::DiffSamplerConfig config;
   config.batch = 256;
+  config.max_rounds = 10;
   baselines::DiffSampler sampler(config);
   const sampler::RunResult result =
       sampler.run(instance.formula, fingerprint_options(10));

@@ -101,8 +101,11 @@ TEST(GradientSampler, DeterministicForSeed) {
   const cnf::Formula f = small_formula();
   RunOptions options = fast_options(20);
   options.budget_ms = -1.0;  // no deadline: fully deterministic
-  GradientSampler a(small_config());
-  GradientSampler b(small_config());
+  // The target ends the run in its first round; the cap only bounds it.
+  GradientConfig config = small_config();
+  config.max_rounds = 10;
+  GradientSampler a(config);
+  GradientSampler b(config);
   const RunResult ra = a.run(f, options);
   const RunResult rb = b.run(f, options);
   EXPECT_EQ(ra.n_unique, rb.n_unique);
@@ -110,12 +113,28 @@ TEST(GradientSampler, DeterministicForSeed) {
   EXPECT_EQ(ra.solutions, rb.solutions);
 }
 
+TEST(GradientSampler, RunWithNoBoundIsRejected) {
+  // No budget, no stop token, no round cap: only the unique target could end
+  // the run, and it does so only on a formula with that many models.
+  const cnf::Formula f = small_formula();
+  RunOptions options = fast_options(1);
+  options.budget_ms = 0.0;
+  GradientConfig config = small_config();
+  EXPECT_THROW((void)GradientSampler(config).run(f, options),
+               std::invalid_argument);
+  config.max_rounds = 1;  // a round cap is a bound
+  EXPECT_GE(GradientSampler(config).run(f, options).n_unique, 1u);
+}
+
 TEST(GradientSampler, DifferentSeedsDiversify) {
   const cnf::Formula f = small_formula();
   RunOptions options = fast_options(15);
   options.budget_ms = -1.0;
   options.seed = 1;
-  GradientSampler sampler(small_config());
+  // The target ends each run in its first round; the cap only bounds it.
+  GradientConfig config = small_config();
+  config.max_rounds = 10;
+  GradientSampler sampler(config);
   const RunResult ra = sampler.run(f, options);
   options.seed = 2;
   const RunResult rb = sampler.run(f, options);

@@ -147,7 +147,8 @@ TEST(TelemetryTrace, EventsAreTimestampSortedAndJsonWellFormed) {
   sink.async_begin("work", "test", 42, t0 + 100);
   sink.async_instant("mark", "test", 42, t0 + 500);
   sink.async_end("work", "test", 42, t0 + 900);
-  std::thread other([&] { sink.instant("other_thread", "test"); });
+  std::thread other(
+      [&] { sink.complete("other_thread", "test", t0 + 200, t0 + 300); });
   other.join();
 
   const std::vector<TraceEvent> events = sink.snapshot_events();
