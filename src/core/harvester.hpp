@@ -6,9 +6,10 @@
 // UniqueBank) and the round-parallel path (one Harvester per worker, all
 // merging into a shared ShardedUniqueBank) run the identical
 // unpack -> evaluate -> mask -> project pipeline.  `Bank` only needs
-// insert(key), contains(key), size() and n_words(); uniqueness is decided
-// wherever the bank lives, so a worker's duplicate of another worker's
-// solution is rejected at the merge point, not after.
+// insert(key), contains(key), size() and n_words(), where a key is a
+// `const std::uint64_t*` to n_words() packed words (unique_bank.hpp);
+// uniqueness is decided wherever the bank lives, so a worker's duplicate of
+// another worker's solution is rejected at the merge point, not after.
 //
 // When a sampling set is active and HarvestMode::projected is set, the bank
 // key is the row's projection onto the set (bit k = set variable k) rather
@@ -24,10 +25,13 @@
 // per-word solved masks and projection words, then a serial accept phase
 // walks words in order — so counts, bank insertion order, and stored
 // solutions are bit-identical to the historical scalar eval64 walk under
-// every thread count (tests/harvest_diff_test.cpp pins this down).
+// every thread count (tests/harvest_diff_test.cpp pins this down).  Accept
+// builds the keys of a word's 64 rows at once, with one 64 x 64 bit
+// transpose per key word (detail::transpose_row_keys): 64 loads per 64 key
+// bits, where gathering each row's key costs a strided load per bit per row.
 //
 // All scratch (evaluation slots, solved masks, projection words, the key
-// buffer) is per-instance and reused: after the first collect() of a given
+// buffers) is per-instance and reused: after the first collect() of a given
 // batch shape, repeated harvests perform no heap allocation beyond what the
 // bank needs for genuinely new solutions.
 
@@ -42,11 +46,49 @@
 #include "core/gd_loop.hpp"
 #include "core/unique_bank.hpp"
 #include "telemetry/trace.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace hts::sampler {
+
+namespace detail {
+
+/// Transposes a 64 x 64 bit matrix in place by recursive block swaps
+/// (Hacker's Delight, 2nd ed., section 7-3): afterwards bit c of m[r] is
+/// what bit r of m[c] was.
+inline void transpose64(std::uint64_t* m) {
+  std::uint64_t mask = 0x00000000ffffffffULL;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
+}
+
+/// Keys of the 64 rows of one packed word: bit r of column(b) is bit b of
+/// row r's key, for every b < n_bits.  Row r's key, (n_bits + 63) / 64
+/// words, is written at keys + r * that width, by one transpose per key
+/// word.
+template <typename Column>
+void transpose_row_keys(std::size_t n_bits, Column&& column,
+                        std::uint64_t* keys) {
+  const std::size_t n_key_words = (n_bits + 63) / 64;
+  std::uint64_t block[64];
+  for (std::size_t kw = 0; kw < n_key_words; ++kw) {
+    const std::size_t base = kw * 64;
+    const std::size_t n = std::min<std::size_t>(64, n_bits - base);
+    for (std::size_t b = 0; b < n; ++b) block[b] = column(base + b);
+    std::fill(block + n, block + 64, 0);
+    transpose64(block);
+    for (std::size_t r = 0; r < 64; ++r) keys[r * n_key_words + kw] = block[r];
+  }
+}
+
+}  // namespace detail
 
 /// Caller-owned scratch for Harvester::collect_candidates.  The amplifier
 /// keeps one per instance so repeated amplified collects perform no heap
@@ -115,15 +157,20 @@ class Harvester {
         // configuration never reads the stash, so phase 1 can skip writing
         // (and allocating) it entirely.
         stash_all_(options.store_limit > 0 || options.verify_against_cnf),
-        key_((problem.circuit->n_inputs() + 63) / 64, 0) {
+        full_words_((problem.circuit->n_inputs() + 63) / 64),
+        full_keys_(64 * full_words_) {
     // Projected keying without a set would collapse every solution onto one
-    // empty key; treat it as full-assignment mode (harvest_mode_for never
-    // produces this, but direct constructions might).
-    if (problem_.sampling_set.empty()) {
-      mode_.projected = false;
-      mode_.probe_projections = false;
-    }
-    if (mode_.projected) proj_key_.assign(bank.n_words(), 0);
+    // empty key; treat it as full-assignment mode.  The probe asks the bank
+    // about projected keys, so it needs projected keying.  (harvest_mode_for
+    // never produces either case, but direct constructions might.)
+    if (problem_.sampling_set.empty()) mode_.projected = false;
+    if (!mode_.projected) mode_.probe_projections = false;
+    // The bank reads n_words() words at every key pointer it is handed.
+    HTS_CHECK(bank.n_words() ==
+              (mode_.projected ? (problem_.sampling_set.size() + 63) / 64
+                               : full_words_));
+    if (mode_.projected) proj_keys_.resize(64 * bank.n_words());
+    if (mode_.probe_projections) fresh_key_.resize(bank.n_words());
     if (plan_ == nullptr) {
       owned_plan_ = std::make_unique<circuit::EvalPlan>(*problem.circuit);
       plan_ = owned_plan_.get();
@@ -194,6 +241,7 @@ class Harvester {
 
     // Phase 2 — accept, serially and in word order: bank insertion order and
     // stored-solution order match the historical single-thread walk exactly.
+    proj_keys_of_ = nullptr;  // the stash was just rewritten
     accept_words(packed, n_words, n_proj, solved_mask_.data(), proj_.data(),
                  /*record_fresh=*/true);
     if (evaluated.load(std::memory_order_relaxed)) rows_validated_ += batch;
@@ -240,6 +288,7 @@ class Harvester {
                  scratch.solved_mask.data(), scratch.proj.data(),
                  /*probe=*/false);
     }
+    proj_keys_of_ = nullptr;
     return accept_words(packed, n_words, n_proj, scratch.solved_mask.data(),
                         scratch.proj.data(), /*record_fresh=*/false);
   }
@@ -277,21 +326,20 @@ class Harvester {
   [[nodiscard]] const std::vector<std::uint64_t>& banked_projection_mask() {
     dup_mask_.assign(last_n_words_, 0);
     if (!mode_.probe_projections) return dup_mask_;
-    const std::vector<cnf::Var>& set = problem_.sampling_set;
     const std::size_t n_proj = problem_.var_signal->size();
+    const std::size_t key_words = bank_.n_words();
     for (std::size_t w = 0; w < last_n_words_; ++w) {
       const std::size_t rows_here =
           std::min<std::size_t>(64, last_batch_ - w * 64);
       std::uint64_t cand =
           (rows_here < 64 ? (1ULL << rows_here) - 1 : ~0ULL) & ~solved_mask_[w];
       if (cand == 0) continue;
-      const std::uint64_t* stash = proj_.data() + w * n_proj;
+      const std::uint64_t* keys = projected_keys(proj_.data() + w * n_proj);
       std::uint64_t hit = 0;
       while (cand != 0) {
         const int r = std::countr_zero(cand);
         cand &= cand - 1;
-        build_proj_key(stash, static_cast<std::size_t>(r), set);
-        if (bank_.contains(proj_key_)) hit |= 1ULL << r;
+        if (bank_.contains(keys + r * key_words)) hit |= 1ULL << r;
       }
       dup_mask_[w] = hit;
     }
@@ -341,19 +389,19 @@ class Harvester {
                                                             util::Rng& rng,
                                                             int tries) {
     if (!mode_.probe_projections) return nullptr;
-    const std::vector<cnf::Var>& set = problem_.sampling_set;
-    const std::size_t n_bits = set.size();
+    const std::size_t n_bits = problem_.sampling_set.size();
     const std::size_t n_proj = problem_.var_signal->size();
-    build_proj_key(proj_.data() + w * n_proj, r, set);
-    fresh_key_.resize(proj_key_.size());
+    const std::size_t key_words = bank_.n_words();
+    const std::uint64_t* key =
+        projected_keys(proj_.data() + w * n_proj) + r * key_words;
     for (int t = 0; t < tries; ++t) {
-      std::copy(proj_key_.begin(), proj_key_.end(), fresh_key_.begin());
+      std::copy(key, key + key_words, fresh_key_.begin());
       const int n_flips = 1 + t / 2;
       for (int f = 0; f < n_flips; ++f) {
         const std::size_t k = rng.next_below(n_bits);
         fresh_key_[k >> 6] ^= 1ULL << (k & 63);
       }
-      if (!bank_.contains(fresh_key_)) return fresh_key_.data();
+      if (!bank_.contains(fresh_key_.data())) return fresh_key_.data();
     }
     return nullptr;
   }
@@ -414,51 +462,53 @@ class Harvester {
   }
 
   /// Phase-2 core: accepts the solved rows serially in word order; returns
-  /// how many were new to the bank.
+  /// how many were new to the bank.  Each word with a solved row gets its
+  /// 64 rows' bank keys in one go; projected mode transposes the full keys
+  /// the fresh sink wants only once the word banks a fresh row.
   std::size_t accept_words(const std::vector<std::uint64_t>& packed,
                            std::size_t n_words, std::size_t n_proj,
                            const std::uint64_t* solved_mask,
                            const std::uint64_t* proj, bool record_fresh) {
+    const std::size_t key_words = bank_.n_words();
+    const bool sink = record_fresh && fresh_sink_ != nullptr;
     std::size_t fresh = 0;
     for (std::size_t w = 0; w < n_words; ++w) {
       std::uint64_t ok = solved_mask[w];
+      if (ok == 0) continue;
+      const std::uint64_t* stash = proj + w * n_proj;
+      const std::uint64_t* keys = mode_.projected
+                                      ? projected_keys(stash)
+                                      : full_keys(packed, n_words, w);
+      const std::uint64_t* full = mode_.projected ? nullptr : keys;
       while (ok != 0) {
-        const int r = std::countr_zero(ok);
+        const auto r = static_cast<std::size_t>(std::countr_zero(ok));
         ok &= ok - 1;
-        fresh += accept_row(packed, n_words, n_proj, w,
-                            static_cast<std::size_t>(r), proj, record_fresh)
-                     ? 1
-                     : 0;
+        const bool is_new = bank_.insert(keys + r * key_words);
+        if (is_new && sink) {
+          // Amplification bases are always FULL input keys (the amplifier
+          // broadcasts them row-wise and flips input bits), independent of
+          // what the bank keys on.
+          if (full == nullptr) full = full_keys(packed, n_words, w);
+          const std::uint64_t* base = full + r * full_words_;
+          fresh_sink_->insert(fresh_sink_->end(), base, base + full_words_);
+        }
+        if (is_new) ++fresh;
+        accept_row(stash, n_proj, r, is_new);
       }
     }
     return fresh;
   }
 
-  bool accept_row(const std::vector<std::uint64_t>& packed, std::size_t n_words,
-                  std::size_t n_proj, std::size_t w, std::size_t r,
-                  const std::uint64_t* proj, bool record_fresh) {
+  /// Counts one solved row (bit r of the stash word) and stores or verifies
+  /// its projected assignment as RunOptions asks.
+  void accept_row(const std::uint64_t* stash, std::size_t n_proj,
+                  std::size_t r, bool is_new) {
     ++result_.n_valid;
-    const std::uint64_t* stash = proj + w * n_proj;
-    bool is_new = false;
-    if (mode_.projected) {
-      build_proj_key(stash, r, problem_.sampling_set);
-      is_new = bank_.insert(proj_key_);
-    } else {
-      build_full_key(packed, n_words, w, r);
-      is_new = bank_.insert(key_);
-    }
-    if (is_new && record_fresh && fresh_sink_ != nullptr) {
-      // Amplification bases are always FULL input keys (the amplifier
-      // broadcasts them row-wise and flips input bits), independent of what
-      // the bank keys on.
-      if (mode_.projected) build_full_key(packed, n_words, w, r);
-      fresh_sink_->insert(fresh_sink_->end(), key_.begin(), key_.end());
-    }
-    if (!is_new && !options_.store_all_draws) return is_new;
+    if (!is_new && !options_.store_all_draws) return;
 
     const bool want_assignment = result_.solutions.size() < options_.store_limit ||
                                  (is_new && options_.verify_against_cnf);
-    if (!want_assignment) return is_new;
+    if (!want_assignment) return;
     cnf::Assignment assignment(n_proj, 0);
     for (cnf::Var v = 0; v < n_proj; ++v) {
       assignment[v] = static_cast<std::uint8_t>((stash[v] >> r) & 1ULL);
@@ -469,33 +519,34 @@ class Harvester {
     if (result_.solutions.size() < options_.store_limit) {
       result_.solutions.push_back(std::move(assignment));
     }
-    return is_new;
   }
 
-  /// Packs the full hardened input row (w, r) into key_ — the bank key in
-  /// full-assignment mode, and always the amplifier's base layout.
-  void build_full_key(const std::vector<std::uint64_t>& packed,
-                      std::size_t n_words, std::size_t w, std::size_t r) {
-    const std::size_t n_inputs = problem_.circuit->n_inputs();
-    std::fill(key_.begin(), key_.end(), 0);
-    for (std::size_t i = 0; i < n_inputs; ++i) {
-      if (((packed[i * n_words + w] >> r) & 1ULL) != 0) {
-        key_[i >> 6] |= (1ULL << (i & 63));
-      }
-    }
+  /// Full hardened input keys of word w's 64 rows into full_keys_ (row r
+  /// at r * full_words_) — the bank key in full-assignment mode, and always
+  /// the amplifier's base layout.
+  const std::uint64_t* full_keys(const std::vector<std::uint64_t>& packed,
+                                 std::size_t n_words, std::size_t w) {
+    const std::uint64_t* column = packed.data() + w;
+    detail::transpose_row_keys(
+        problem_.circuit->n_inputs(),
+        [&](std::size_t i) { return column[i * n_words]; }, full_keys_.data());
+    return full_keys_.data();
   }
 
-  /// Packs row r's sampling-set bits out of a word stash into proj_key_:
-  /// bit k of the key is set variable set[k], so the key layout is a pure
-  /// function of the (sorted, deduplicated) set.
-  void build_proj_key(const std::uint64_t* stash, std::size_t r,
-                      const std::vector<cnf::Var>& set) {
-    std::fill(proj_key_.begin(), proj_key_.end(), 0);
-    for (std::size_t k = 0; k < set.size(); ++k) {
-      if (((stash[set[k]] >> r) & 1ULL) != 0) {
-        proj_key_[k >> 6] |= (1ULL << (k & 63));
-      }
+  /// Projected keys of the 64 rows whose set bits sit in the stash word at
+  /// `stash` into proj_keys_ (row r at r * bank n_words()): bit k of a key
+  /// is set variable set[k], so the key layout is a pure function of the
+  /// (sorted, deduplicated) set.  Transposed once per stash word, so the
+  /// diversity pass's per-row proposals within one word share it.
+  const std::uint64_t* projected_keys(const std::uint64_t* stash) {
+    if (stash != proj_keys_of_) {
+      const std::vector<cnf::Var>& set = problem_.sampling_set;
+      detail::transpose_row_keys(
+          set.size(), [&](std::size_t k) { return stash[set[k]]; },
+          proj_keys_.data());
+      proj_keys_of_ = stash;
     }
+    return proj_keys_.data();
   }
 
   /// Whether phase 1 must write the projection stash at all.
@@ -514,10 +565,16 @@ class Harvester {
   /// Amplifier base buffer (see set_fresh_sink); null when amplification is
   /// off, and then never touched on the accept path.
   std::vector<std::uint64_t>* fresh_sink_ = nullptr;
-  /// Full-input key scratch, (n_inputs + 63) / 64 words.
-  std::vector<std::uint64_t> key_;
-  /// Projected key scratch, bank n_words() words; empty unless projected.
-  std::vector<std::uint64_t> proj_key_;
+  /// Words per full input key, (n_inputs + 63) / 64.
+  std::size_t full_words_;
+  /// Full input keys of one word's 64 rows (see full_keys).
+  std::vector<std::uint64_t> full_keys_;
+  /// Projected keys of one word's 64 rows, bank n_words() words each;
+  /// empty unless projected (see projected_keys).
+  std::vector<std::uint64_t> proj_keys_;
+  /// The stash word proj_keys_ was transposed from; null after every
+  /// rewrite of a stash.
+  const std::uint64_t* proj_keys_of_ = nullptr;
   std::vector<std::uint64_t> solved_mask_;
   /// Shape of the most recent collect(), for banked_projection_mask().
   std::size_t last_n_words_ = 0;
@@ -528,7 +585,8 @@ class Harvester {
   /// Sampling-set position -> engine input slot (see projection_slots).
   std::vector<std::uint32_t> proj_slots_;
   bool proj_slots_built_ = false;
-  /// Candidate-pattern scratch for propose_fresh_neighbor.
+  /// Candidate-pattern scratch for propose_fresh_neighbor, bank n_words()
+  /// words; empty unless probing.
   std::vector<std::uint64_t> fresh_key_;
   /// Projection stash: var_signal words of every solved word of the current
   /// batch (proj_[w * n_proj + v]); phase 2 reads bits out of it instead of

@@ -76,8 +76,10 @@ struct SamplingRequest {
   /// the client's bank memory at roughly max_uniques keys + one batch.
   std::size_t max_uniques = 0;
 
-  /// Hard cap on the unique bank's approximate heap bytes (0 = none); see
-  /// sampler::UniqueBank::size_bytes().  Same kCapped semantics as above.
+  /// Hard cap on the heap bytes the unique bank has allocated (0 = none):
+  /// sampler::UniqueBank::size_bytes(), its key table's slot array and key
+  /// arena, real bytes rather than an estimate.  Same kCapped semantics as
+  /// above.
   std::size_t max_bank_bytes = 0;
 
   /// Bound on the solution stream's buffered assignments (0 = unbounded).
@@ -213,7 +215,8 @@ struct JobStats : sampler::LoopCounters {
   double wall_ms = 0.0;            // submission -> terminal
   bool plan_cache_hit = false;     // plan reused (possibly after waiting on
                                    // another request's in-flight compile)
-  std::size_t bank_bytes = 0;      // final bank footprint estimate
+  std::size_t bank_bytes = 0;      // heap bytes the bank had allocated at
+                                   // the end (UniqueBank::size_bytes())
   /// Set when the job failed (kFailed), was rejected (kRejected), or
   /// survived transient errors on the way to another terminal status (the
   /// last such error is kept, with `retries` saying how many re-enqueues it

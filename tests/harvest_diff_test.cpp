@@ -9,6 +9,10 @@
 // pipeline result for result (counts, bank content, stored solutions, and
 // solved masks) on the four benchgen families.
 //
+// The accept phase's transposed 64-row keys are checked against the per-row
+// gather they replace, full and projected, at input counts around each
+// key-word boundary.
+//
 // The suite also pins the harvester's no-allocation contract: after the
 // first collect() of a batch shape, repeated harvests perform zero heap
 // allocations (measured by a global operator-new counting hook).
@@ -21,6 +25,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <set>
 #include <string_view>
 #include <vector>
 
@@ -254,7 +259,7 @@ struct ScalarReference {
       if (((input_words[i] >> r) & 1ULL) != 0) key[i >> 6] |= (1ULL << (i & 63));
     }
     ++result.n_valid;
-    const bool is_new = bank.insert(key);
+    const bool is_new = bank.insert(key.data());
     if (!is_new && !options.store_all_draws) return;
     const bool want_assignment =
         result.solutions.size() < options.store_limit ||
@@ -340,6 +345,170 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, HarvestFamilies,
                            }
                            return name;
                          });
+
+// --- transposed row keys vs the per-row gather --------------------------------
+
+/// The per-row gather the accept phase used to run: bit b of row r's key is
+/// bit r of column(b).
+template <typename Column>
+std::vector<std::uint64_t> gather_row_key(std::size_t n_bits, Column&& column,
+                                          std::size_t r) {
+  std::vector<std::uint64_t> key((n_bits + 63) / 64, 0);
+  for (std::size_t b = 0; b < n_bits; ++b) {
+    if (((column(b) >> r) & 1ULL) != 0) key[b >> 6] |= 1ULL << (b & 63);
+  }
+  return key;
+}
+
+// Input counts on both sides of each key-word boundary; the batch (300 rows,
+// 5 words) ends in a partial word.
+constexpr std::size_t kKeyInputCounts[] = {1, 63, 64, 65, 130};
+constexpr std::size_t kKeyWords = 5;
+constexpr std::size_t kKeyBatch = 300;
+
+TEST(HarvestDiff, TransposedKeysMatchPerRowGather) {
+  for (const std::size_t n_inputs : kKeyInputCounts) {
+    util::Rng rng(500 + n_inputs);
+    const std::vector<std::uint64_t> packed =
+        random_words(rng, n_inputs * kKeyWords);
+    const std::size_t key_words = (n_inputs + 63) / 64;
+    std::vector<std::uint64_t> keys(64 * key_words);
+    for (std::size_t w = 0; w < kKeyWords; ++w) {
+      auto column = [&](std::size_t i) { return packed[i * kKeyWords + w]; };
+      sampler::detail::transpose_row_keys(n_inputs, column, keys.data());
+      for (std::size_t r = 0; r < 64; ++r) {
+        const std::vector<std::uint64_t> expect =
+            gather_row_key(n_inputs, column, r);
+        for (std::size_t k = 0; k < key_words; ++k) {
+          ASSERT_EQ(keys[r * key_words + k], expect[k])
+              << n_inputs << " inputs, word " << w << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+/// n_inputs free inputs, variable v = input v, constrained by OR(first,
+/// last) so about a quarter of the rows stay unsolved.
+struct KeyHarness {
+  explicit KeyHarness(std::size_t n_inputs) {
+    for (std::size_t i = 0; i < n_inputs; ++i) {
+      var_signal.push_back(circuit.add_input());
+    }
+    circuit.add_output(circuit.add_gate(circuit::GateType::kOr,
+                                        {var_signal.front(),
+                                         var_signal.back()}),
+                       true);
+    problem.circuit = &circuit;
+    problem.var_signal = &var_signal;
+  }
+  circuit::Circuit circuit;
+  std::vector<circuit::SignalId> var_signal;
+  sampler::GdProblem problem;
+};
+
+// The harvester's accept phase against the per-row gather, end to end: the
+// fresh-key sink must receive every new row's full key, word for word and in
+// accept order; projected banks must hold exactly the reference projections
+// (sampling sets whose variables cross input 64, and for 130 inputs a
+// projection of two key words); and the diversity probes
+// (banked_projection_mask, propose_fresh_neighbor) must answer as the
+// per-row gather does.
+TEST(HarvestDiff, AcceptKeysMatchPerRowGather) {
+  for (const std::size_t n_inputs : kKeyInputCounts) {
+    for (const bool projected : {false, true}) {
+      if (projected && n_inputs < 65) continue;
+      KeyHarness h(n_inputs);
+      if (projected) {
+        for (cnf::Var v = 0; v < n_inputs; ++v) {
+          if (v % 3 != 1) h.problem.sampling_set.push_back(v);
+        }
+      }
+      const std::vector<cnf::Var>& set = h.problem.sampling_set;
+      const std::size_t n_bits = projected ? set.size() : n_inputs;
+      util::Rng rng(900 + n_inputs);
+      const std::vector<std::uint64_t> packed =
+          random_words(rng, n_inputs * kKeyWords);
+
+      const cnf::Formula formula;  // never consulted: verify_against_cnf off
+      sampler::RunOptions options;
+      options.store_limit = 0;
+      sampler::RunResult result;
+      sampler::UniqueBank bank(n_bits);
+      sampler::HarvestMode mode;
+      mode.projected = projected;
+      mode.probe_projections = projected;
+      sampler::Harvester<sampler::UniqueBank> harvester(
+          h.problem, formula, options, bank, result, nullptr,
+          /*inline_eval=*/true, mode);
+      std::vector<std::uint64_t> fresh;
+      harvester.set_fresh_sink(&fresh);
+      harvester.collect(packed, kKeyWords, kKeyBatch);
+
+      // Reference: the rows the circuit accepts, keyed by per-row gathers.
+      std::set<std::vector<std::uint64_t>> banked;
+      std::vector<std::uint64_t> expect_fresh;
+      std::vector<std::vector<std::uint64_t>> proj_keys(kKeyBatch);
+      for (std::size_t row = 0; row < kKeyBatch; ++row) {
+        const std::size_t w = row / 64;
+        const std::size_t r = row % 64;
+        auto input = [&](std::size_t i) { return packed[i * kKeyWords + w]; };
+        const std::vector<std::uint64_t> full = gather_row_key(n_inputs, input, r);
+        proj_keys[row] = projected
+                             ? gather_row_key(n_bits,
+                                              [&](std::size_t k) {
+                                                return input(set[k]);
+                                              },
+                                              r)
+                             : full;
+        const bool solved =
+            ((input(0) | input(n_inputs - 1)) >> r & 1ULL) != 0;
+        ASSERT_EQ(solved, (harvester.last_solved()[w] >> r & 1ULL) != 0);
+        if (solved && banked.insert(proj_keys[row]).second) {
+          expect_fresh.insert(expect_fresh.end(), full.begin(), full.end());
+        }
+      }
+      ASSERT_EQ(fresh, expect_fresh) << n_inputs << " inputs, projected "
+                                     << projected;
+      ASSERT_EQ(bank.size(), banked.size());
+      for (const std::vector<std::uint64_t>& key : banked) {
+        ASSERT_TRUE(bank.contains(key.data()));
+      }
+      if (!projected) continue;
+
+      const std::vector<std::uint64_t>& flagged =
+          harvester.banked_projection_mask();
+      util::Rng propose_rng(7);
+      util::Rng reference_rng(7);
+      for (std::size_t row = 0; row < kKeyBatch; ++row) {
+        const std::size_t w = row / 64;
+        const std::size_t r = row % 64;
+        const bool solved = (harvester.last_solved()[w] >> r & 1ULL) != 0;
+        ASSERT_EQ((flagged[w] >> r & 1ULL) != 0,
+                  !solved && banked.count(proj_keys[row]) != 0)
+            << n_inputs << " inputs, row " << row;
+        // The same flip sequence over the gathered key.
+        const std::uint64_t* pattern =
+            harvester.propose_fresh_neighbor(w, r, propose_rng, /*tries=*/6);
+        std::vector<std::uint64_t> expect;
+        for (int t = 0; t < 6 && expect.empty(); ++t) {
+          std::vector<std::uint64_t> candidate = proj_keys[row];
+          for (int f = 0; f < 1 + t / 2; ++f) {
+            const std::size_t k = reference_rng.next_below(n_bits);
+            candidate[k >> 6] ^= 1ULL << (k & 63);
+          }
+          if (banked.count(candidate) == 0) expect = candidate;
+        }
+        ASSERT_EQ(pattern == nullptr, expect.empty()) << "row " << row;
+        if (pattern != nullptr) {
+          ASSERT_EQ(std::vector<std::uint64_t>(pattern, pattern + bank.n_words()),
+                    expect)
+              << n_inputs << " inputs, row " << row;
+        }
+      }
+    }
+  }
+}
 
 // --- repeated harvests allocate nothing -------------------------------------
 

@@ -337,15 +337,15 @@ TEST(DiversityRestart, ReseedsRowsAndStaysDeterministic) {
 TEST(ProjectedUnits, UniqueBankContains) {
   sampler::UniqueBank bank(/*n_bits=*/70);
   const std::vector<std::uint64_t> key = {0xdeadbeefULL, 0x2a};
-  EXPECT_FALSE(bank.contains(key));
-  EXPECT_TRUE(bank.insert(key));
-  EXPECT_TRUE(bank.contains(key));
-  EXPECT_FALSE(bank.insert(key));
+  EXPECT_FALSE(bank.contains(key.data()));
+  EXPECT_TRUE(bank.insert(key.data()));
+  EXPECT_TRUE(bank.contains(key.data()));
+  EXPECT_FALSE(bank.insert(key.data()));
 
   sampler::ShardedUniqueBank sharded(/*n_bits=*/70);
-  EXPECT_FALSE(sharded.contains(key));
-  EXPECT_TRUE(sharded.insert(key));
-  EXPECT_TRUE(sharded.contains(key));
+  EXPECT_FALSE(sharded.contains(key.data()));
+  EXPECT_TRUE(sharded.insert(key.data()));
+  EXPECT_TRUE(sharded.contains(key.data()));
 }
 
 TEST(ProjectedUnits, NormalizeSamplingSetSortsDedupsAndDropsOutOfRange) {

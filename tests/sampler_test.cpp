@@ -1,13 +1,15 @@
 // Tests for the gradient sampler (the paper's method) and the UniqueBank:
-// validity of every emitted solution, unique-count exactness on enumerable
-// instances, determinism, iteration/learning behaviour, cone-only ablation,
-// and UNSAT handling.
+// the bank's key table against a std::set, validity of every emitted
+// solution, unique-count exactness on enumerable instances, determinism,
+// iteration/learning behaviour, cone-only ablation, and UNSAT handling.
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "baselines/diff_sampler.hpp"
 #include "bdd/builder.hpp"
@@ -26,10 +28,10 @@ namespace {
 TEST(UniqueBank, DeduplicatesKeys) {
   UniqueBank bank(130);  // > 2 words
   std::vector<std::uint64_t> key(bank.n_words(), 0);
-  EXPECT_TRUE(bank.insert(key));
-  EXPECT_FALSE(bank.insert(key));
+  EXPECT_TRUE(bank.insert(key.data()));
+  EXPECT_FALSE(bank.insert(key.data()));
   key[1] = 1;
-  EXPECT_TRUE(bank.insert(key));
+  EXPECT_TRUE(bank.insert(key.data()));
   EXPECT_EQ(bank.size(), 2u);
 }
 
@@ -42,7 +44,112 @@ TEST(UniqueBank, InsertBitsMatchesPackedInsert) {
   std::vector<std::uint64_t> key(bank.n_words(), 0);
   key[0] = 1ULL;
   key[1] = 1ULL << 5;  // bit 69
-  EXPECT_FALSE(bank.insert(key));
+  EXPECT_FALSE(bank.insert(key.data()));
+}
+
+// 200K inserts, a quarter of them repeats of earlier keys, checked insert by
+// insert against a std::set: the slot array grows from 16 to 2^18 slots (14
+// doublings), and every doubling must keep every banked key findable.
+TEST(UniqueBank, MatchesStdSetAcrossTableGrowth) {
+  for (const std::size_t n_words : {1u, 2u, 3u}) {
+    UniqueBank bank(64 * n_words);
+    std::set<std::vector<std::uint64_t>> reference;
+    std::vector<std::vector<std::uint64_t>> inserted;
+    util::Rng rng(91 + n_words);
+    std::vector<std::uint64_t> key(n_words);
+    for (std::size_t i = 0; i < 200000; ++i) {
+      if (!inserted.empty() && rng.next_below(4) == 0) {
+        key = inserted[rng.next_below(inserted.size())];
+      } else {
+        // Sparse words as well as dense ones: harvested keys are rarely
+        // uniform random.
+        for (std::uint64_t& word : key) {
+          word = rng.next_below(8) == 0 ? rng.next_below(1024) : rng.next_u64();
+        }
+      }
+      const bool is_new = reference.insert(key).second;
+      ASSERT_EQ(bank.insert(key.data()), is_new)
+          << n_words << " words, insert " << i;
+      if (is_new) inserted.push_back(key);
+      ASSERT_EQ(bank.size(), reference.size());
+    }
+    EXPECT_GT(bank.size(), 100000u);
+    for (const std::vector<std::uint64_t>& banked : inserted) {
+      ASSERT_TRUE(bank.contains(banked.data())) << n_words << " words";
+    }
+    for (std::size_t i = 0; i < 10000; ++i) {
+      for (std::uint64_t& word : key) word = rng.next_u64();
+      ASSERT_EQ(bank.contains(key.data()), reference.count(key) != 0);
+    }
+  }
+}
+
+TEST(UniqueBank, KeysDifferingOnlyInTheLastWordStayDistinct) {
+  UniqueBank bank(3 * 64);
+  std::vector<std::uint64_t> key = {0x0123456789abcdefULL, ~0ULL, 0};
+  for (std::uint64_t last = 0; last < 1000; ++last) {
+    key[2] = last;
+    ASSERT_TRUE(bank.insert(key.data())) << last;
+  }
+  for (std::uint64_t last = 0; last < 1000; ++last) {
+    key[2] = last;
+    ASSERT_FALSE(bank.insert(key.data())) << last;
+    ASSERT_TRUE(bank.contains(key.data())) << last;
+  }
+  key[2] = 1000;
+  EXPECT_FALSE(bank.contains(key.data()));
+  EXPECT_EQ(bank.size(), 1000u);
+}
+
+TEST(UniqueBank, ZeroWordKeysHoldOneKey) {
+  UniqueBank bank(0);
+  EXPECT_EQ(bank.n_words(), 0u);
+  const std::uint64_t unread = 0;  // a zero-word key reads nothing
+  EXPECT_FALSE(bank.contains(&unread));
+  EXPECT_TRUE(bank.insert(&unread));
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(bank.insert(&unread));
+  EXPECT_TRUE(bank.contains(&unread));
+  EXPECT_FALSE(bank.insert_bits({}));
+  EXPECT_EQ(bank.size(), 1u);
+}
+
+// Every key hashed alike: one tag, one probe chain through every banked key,
+// so only the whole-key compare tells keys apart — across table growth too.
+TEST(KeyTable, ConstantHashStillTellsKeysApart) {
+  KeyTable table(2);
+  constexpr std::uint64_t kHash = 0x5555aaaa12345678ULL;
+  std::vector<std::uint64_t> key(2, 7);
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    key[1] = i;
+    ASSERT_TRUE(table.insert(key.data(), kHash)) << i;
+    ASSERT_FALSE(table.insert(key.data(), kHash)) << i;
+  }
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    key[1] = i;
+    ASSERT_TRUE(table.contains(key.data(), kHash)) << i;
+  }
+  key[1] = 300;
+  EXPECT_FALSE(table.contains(key.data(), kHash));
+  EXPECT_EQ(table.size(), 300u);
+}
+
+// size_bytes() is the table's allocated bytes: nothing before the first
+// key, at least the banked key words after it, and a duplicate (which
+// allocates nothing) leaves it unchanged.
+TEST(UniqueBank, SizeBytesCountsAllocatedBytes) {
+  UniqueBank bank(130);  // 3 words per key
+  EXPECT_EQ(bank.size_bytes(), 0u);
+  std::vector<std::uint64_t> key(bank.n_words(), 0);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    key[0] = i;
+    ASSERT_TRUE(bank.insert(key.data()));
+    ASSERT_GE(bank.size_bytes(),
+              bank.size() * bank.n_words() * sizeof(std::uint64_t));
+  }
+  const std::size_t bytes = bank.size_bytes();
+  key[0] = 17;
+  EXPECT_FALSE(bank.insert(key.data()));
+  EXPECT_EQ(bank.size_bytes(), bytes);
 }
 
 /// A small formula with a known, comfortable solution space:
