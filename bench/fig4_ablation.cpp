@@ -6,8 +6,13 @@
 //   (right)  transformation time, CNF -> multi-level function (paper: 2.1 s
 //            to 292.2 s under Python/SymPy; this C++ engine is far faster).
 //
-// Extension ablation (called out in DESIGN.md): GD over the full circuit vs
-// GD restricted to the constrained cone (cone-only compilation).
+// Extensions beyond the paper: GD over the full circuit vs GD restricted to
+// the constrained cone (cone-only compilation), and learning-rate and
+// init-std sweeps around the paper's lr = 10 (unique yield of one round at
+// batch 16384 on or-100-20-8-UC-10 and 90-10-10-q).
+//
+// HTS_BENCH_ABLATION_ROUNDS (default 3, must be >= 1) sets the GD rounds
+// each Fig. 4 timing runs; an invalid value exits with status 2.
 
 #include <cstdio>
 
@@ -18,6 +23,20 @@
 namespace {
 
 using namespace hts;
+
+constexpr std::size_t kSweepBatch = 16384;
+
+/// Runs exactly config.max_rounds GD rounds: no time budget, no target.
+sampler::RunResult run_rounds(const cnf::Formula& formula,
+                              const sampler::GradientConfig& config,
+                              std::uint64_t seed) {
+  sampler::GradientSampler sampler(config);
+  sampler::RunOptions options;
+  options.min_solutions = 0;
+  options.budget_ms = -1.0;
+  options.seed = seed;
+  return sampler.run(formula, options);
+}
 
 /// Wall time of a fixed number of GD rounds under a policy.
 double time_rounds(const cnf::Formula& formula, const bench::BenchEnv& env,
@@ -30,13 +49,19 @@ double time_rounds(const cnf::Formula& formula, const bench::BenchEnv& env,
   config.optimize_tape = optimize_tape;
   config.max_rounds = rounds;
   config.collect_each_iteration = false;  // time the learning, not harvesting
-  sampler::GradientSampler sampler(config);
-  sampler::RunOptions options;
-  options.min_solutions = 0;
-  options.budget_ms = -1.0;
-  options.seed = env.seed;
-  const sampler::RunResult result = sampler.run(formula, options);
-  return result.elapsed_ms;
+  return run_rounds(formula, config, env.seed).elapsed_ms;
+}
+
+/// Unique yield of one round of kSweepBatch rows at the given GD
+/// hyperparameters.
+std::size_t yield_one_round(const cnf::Formula& formula, float lr,
+                            float init_std, std::uint64_t seed) {
+  sampler::GradientConfig config;
+  config.batch = kSweepBatch;
+  config.learning_rate = lr;
+  config.init_std = init_std;
+  config.max_rounds = 1;
+  return run_rounds(formula, config, seed).n_unique;
 }
 
 }  // namespace
@@ -44,8 +69,13 @@ double time_rounds(const cnf::Formula& formula, const bench::BenchEnv& env,
 int main() {
   using namespace hts;
   const bench::BenchEnv env;
-  const auto rounds =
-      static_cast<std::uint64_t>(util::env_int("HTS_BENCH_ABLATION_ROUNDS", 3));
+  const std::int64_t rounds_env = util::env_int("HTS_BENCH_ABLATION_ROUNDS", 3);
+  if (rounds_env < 1) {
+    std::fprintf(stderr, "HTS_BENCH_ABLATION_ROUNDS must be >= 1 (got %lld)\n",
+                 static_cast<long long>(rounds_env));
+    return 2;
+  }
+  const auto rounds = static_cast<std::uint64_t>(rounds_env);
 
   std::printf("=== Fig. 4: ablation on 4 instances (scale %.2f) ===\n\n", env.scale);
 
@@ -103,6 +133,33 @@ int main() {
                 reduction_sum / static_cast<double>(n));
   }
   std::printf("\nPaper reference: per-instance GPU speedups 2.5x/4.5x/8.1x/11.9x;\n"
-              "ops reductions 3.6x-4.5x; transform times 2.1s-292.2s (SymPy).\n");
+              "ops reductions 3.6x-4.5x; transform times 2.1s-292.2s (SymPy).\n\n");
+
+  // Extension: hyperparameter sweeps, one round each.
+  util::Table lr_table({"Instance", "lr=0.5", "lr=2", "lr=10 (paper)", "lr=50"});
+  util::Table std_table(
+      {"Instance", "std=0.5", "std=1", "std=2 (default)", "std=4"});
+  for (const std::string& name : {std::string("or-100-20-8-UC-10"),
+                                  std::string("90-10-10-q")}) {
+    std::fprintf(stderr, "[sweep] %s ...\n", name.c_str());
+    const benchgen::Instance instance = bench::make_scaled_instance(name, env);
+    std::vector<std::string> lr_row{name};
+    for (const float lr : {0.5f, 2.0f, 10.0f, 50.0f}) {
+      lr_row.push_back(std::to_string(
+          yield_one_round(instance.formula, lr, 2.0f, env.seed)));
+    }
+    lr_table.add_row(std::move(lr_row));
+    std::vector<std::string> std_row{name};
+    for (const float init_std : {0.5f, 1.0f, 2.0f, 4.0f}) {
+      std_row.push_back(std::to_string(
+          yield_one_round(instance.formula, 10.0f, init_std, env.seed)));
+    }
+    std_table.add_row(std::move(std_row));
+  }
+  std::printf("--- learning-rate sweep: unique yield of one round, batch %zu ---\n",
+              kSweepBatch);
+  std::printf("%s\n", lr_table.to_string().c_str());
+  std::printf("--- init-std sweep at lr=10 ---\n");
+  std::printf("%s\n", std_table.to_string().c_str());
   return 0;
 }

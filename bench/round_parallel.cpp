@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
     // Compile the same transformed circuit the sampler will run, so the
     // recorded plan shape matches the measured engine exactly.
     const transform::Result transformed =
-        transform::transform_cnf(formula, {});
+        transform::transform_cnf(formula);
     const prob::CompiledCircuit compiled(transformed.circuit);
     const prob::ExecPlan& plan = compiled.plan();
 

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     const cnf::Formula formula = cnf::parse_dimacs_file(target);
     std::printf("loaded %s: %u variables, %zu clauses\n", target.c_str(),
                 formula.n_vars(), formula.n_clauses());
-    transform::Result problem = transform::transform_cnf(formula, {});
+    transform::Result problem = transform::transform_cnf(formula);
     std::printf("transformed: %zu inputs, %zu outputs, %zu signals\n",
                 problem.circuit.inputs().size(),
                 problem.circuit.outputs().size(),

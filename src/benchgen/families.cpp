@@ -1,6 +1,8 @@
 #include "benchgen/families.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "circuit/tseitin.hpp"
@@ -22,6 +24,26 @@ std::uint64_t name_seed(const std::string& name, std::uint64_t mix) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// Throws std::invalid_argument unless options.scale is finite and positive.
+void check_scale(const GenOptions& options) {
+  if (!std::isfinite(options.scale) || options.scale <= 0.0) {
+    throw std::invalid_argument(
+        "benchgen scale must be finite and positive, got " +
+        std::to_string(options.scale));
+  }
+}
+
+/// max(minimum, base * scale rounded down) for a checked scale; throws
+/// std::invalid_argument when the product does not fit a std::size_t.
+std::size_t scaled_count(double base, double scale, std::size_t minimum) {
+  const double count = base * scale;
+  if (count >= std::ldexp(1.0, std::numeric_limits<std::size_t>::digits)) {
+    throw std::invalid_argument("benchgen scale " + std::to_string(scale) +
+                                " overflows an instance size");
+  }
+  return std::max(minimum, static_cast<std::size_t>(count));
 }
 
 /// Evaluates the circuit on a random input vector, constrains the chosen
@@ -68,6 +90,7 @@ SignalId biased_pick(util::Rng& rng, std::size_t n_signals, std::size_t window) 
 Instance make_or_instance(std::size_t n_inputs, std::size_t variant_a,
                           std::size_t variant_b, std::size_t variant_c,
                           const GenOptions& options) {
+  check_scale(options);
   const std::string name = "or-" + std::to_string(n_inputs) + "-" +
                            std::to_string(variant_a) + "-" +
                            std::to_string(variant_b) + "-UC-" +
@@ -135,6 +158,7 @@ Instance make_or_instance(std::size_t n_inputs, std::size_t variant_a,
 
 Instance make_q_instance(std::size_t width, std::size_t variant,
                          const GenOptions& options) {
+  check_scale(options);
   const std::string name =
       std::to_string(width) + "-10-" + std::to_string(variant) + "-q";
   util::Rng rng(name_seed(name, options.seed_mix));
@@ -188,16 +212,15 @@ Instance make_q_instance(std::size_t width, std::size_t variant,
 
 Instance make_s15850_instance(std::size_t n_outputs, std::size_t variant,
                               const GenOptions& options) {
+  check_scale(options);
   const std::string name =
       "s15850a_" + std::to_string(n_outputs) + "_" + std::to_string(variant);
   util::Rng rng(name_seed(name, options.seed_mix));
 
   Circuit circuit;
-  const std::size_t n_inputs =
-      std::max<std::size_t>(8, static_cast<std::size_t>(600 * options.scale));
-  const std::size_t n_gates = std::max<std::size_t>(
-      32, static_cast<std::size_t>((10300.0 + 25.0 * static_cast<double>(n_outputs)) *
-                                   options.scale));
+  const std::size_t n_inputs = scaled_count(600.0, options.scale, 8);
+  const std::size_t n_gates = scaled_count(
+      10300.0 + 25.0 * static_cast<double>(n_outputs), options.scale, 32);
   for (std::size_t i = 0; i < n_inputs; ++i) circuit.add_input();
 
   for (std::size_t g = 0; g < n_gates; ++g) {
@@ -250,16 +273,14 @@ Instance make_s15850_instance(std::size_t n_outputs, std::size_t variant,
 // --- Prod-n --------------------------------------------------------------------
 
 Instance make_prod_instance(std::size_t n_modules, const GenOptions& options) {
+  check_scale(options);
   const std::string name = "Prod-" + std::to_string(n_modules);
   util::Rng rng(name_seed(name, options.seed_mix));
 
   Circuit circuit;
-  const std::size_t shared = std::max<std::size_t>(
-      4, static_cast<std::size_t>(40 * options.scale));
-  const std::size_t locals_per_module = std::max<std::size_t>(
-      4, static_cast<std::size_t>(32 * options.scale));
-  const std::size_t gates_per_module = std::max<std::size_t>(
-      16, static_cast<std::size_t>(1800 * options.scale));
+  const std::size_t shared = scaled_count(40.0, options.scale, 4);
+  const std::size_t locals_per_module = scaled_count(32.0, options.scale, 4);
+  const std::size_t gates_per_module = scaled_count(1800.0, options.scale, 16);
 
   std::vector<SignalId> shared_inputs;
   for (std::size_t i = 0; i < shared; ++i) shared_inputs.push_back(circuit.add_input());

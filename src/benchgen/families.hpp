@@ -46,14 +46,16 @@ struct Instance {
 
 struct GenOptions {
   /// Linear size multiplier for the two big families (s15850a, Prod); 1.0
-  /// reproduces the paper's instance sizes.
+  /// reproduces the paper's instance sizes.  Must be finite and positive,
+  /// and every scaled count must fit a std::size_t: each builder throws
+  /// std::invalid_argument otherwise.
   double scale = 1.0;
   /// Extra entropy mixed into the name-derived seed.
   std::uint64_t seed_mix = 0;
 };
 
 /// Builds an instance from its paper-style name (see family grammar above).
-/// Throws std::invalid_argument for unrecognized names.
+/// Throws std::invalid_argument for unrecognized names and bad options.
 [[nodiscard]] Instance make_instance(const std::string& name,
                                      const GenOptions& options = {});
 

@@ -108,7 +108,7 @@ std::uint32_t Circuit::depth() const {
   return lv.empty() ? 0 : *std::max_element(lv.begin(), lv.end());
 }
 
-std::uint64_t Circuit::op_count_2input(bool count_nots) const {
+std::uint64_t Circuit::op_count_2input() const {
   std::uint64_t ops = 0;
   for (const Gate& g : gates_) {
     switch (g.type) {
@@ -118,7 +118,7 @@ std::uint64_t Circuit::op_count_2input(bool count_nots) const {
       case GateType::kBuf:
         break;
       case GateType::kNot:
-        if (count_nots) ops += 1;
+        ops += 1;
         break;
       case GateType::kAnd:
       case GateType::kOr:
@@ -128,8 +128,7 @@ std::uint64_t Circuit::op_count_2input(bool count_nots) const {
       case GateType::kNand:
       case GateType::kNor:
       case GateType::kXnor:
-        ops += g.fanins.size() - 1;
-        if (count_nots) ops += 1;
+        ops += g.fanins.size();  // (n-1) + the inverter
         break;
     }
   }

@@ -70,9 +70,6 @@ class Circuit {
   [[nodiscard]] const std::vector<OutputConstraint>& outputs() const { return outputs_; }
   [[nodiscard]] const Gate& gate(SignalId id) const { return gates_[id]; }
   [[nodiscard]] const std::string& name(SignalId id) const { return names_[id]; }
-  [[nodiscard]] bool is_input(SignalId id) const {
-    return gates_[id].type == GateType::kInput;
-  }
 
   /// Signals in the transitive fanin of any constrained output, including
   /// the outputs themselves ("constrained paths" in the paper; everything
@@ -84,9 +81,9 @@ class Circuit {
   [[nodiscard]] std::uint32_t depth() const;
 
   /// 2-input gate-equivalent op count: n-ary gates cost (n-1), BUF costs 0,
-  /// NOT costs count_nots; NAND/NOR/XNOR cost (n-1)+count_nots.  This is the
-  /// denominator of the paper's Fig. 4 (middle) reduction rate.
-  [[nodiscard]] std::uint64_t op_count_2input(bool count_nots = true) const;
+  /// NOT costs 1; NAND/NOR/XNOR cost n (the gate plus its inverter).  This
+  /// is the denominator of the paper's Fig. 4 (middle) reduction rate.
+  [[nodiscard]] std::uint64_t op_count_2input() const;
 
   // --- evaluation ----------------------------------------------------------
 

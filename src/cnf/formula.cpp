@@ -13,36 +13,12 @@ void Formula::add_clause(Clause clause) {
 }
 
 bool Formula::satisfied_by(const Assignment& assignment) const {
-  return first_falsified(assignment) == clauses_.size();
-}
-
-std::size_t Formula::count_satisfied(const Assignment& assignment) const {
   HTS_CHECK(assignment.size() >= n_vars_);
-  std::size_t satisfied = 0;
-  for (const Clause& clause : clauses_) {
-    for (const Lit lit : clause) {
-      if (lit.value_under(assignment[lit.var()] != 0)) {
-        ++satisfied;
-        break;
-      }
-    }
-  }
-  return satisfied;
-}
-
-std::size_t Formula::first_falsified(const Assignment& assignment) const {
-  HTS_CHECK(assignment.size() >= n_vars_);
-  for (std::size_t i = 0; i < clauses_.size(); ++i) {
-    bool clause_sat = false;
-    for (const Lit lit : clauses_[i]) {
-      if (lit.value_under(assignment[lit.var()] != 0)) {
-        clause_sat = true;
-        break;
-      }
-    }
-    if (!clause_sat) return i;
-  }
-  return clauses_.size();
+  return std::all_of(clauses_.begin(), clauses_.end(), [&](const Clause& clause) {
+    return std::any_of(clause.begin(), clause.end(), [&](const Lit lit) {
+      return lit.value_under(assignment[lit.var()] != 0);
+    });
+  });
 }
 
 std::size_t Formula::n_literals() const {
@@ -51,57 +27,16 @@ std::size_t Formula::n_literals() const {
   return total;
 }
 
-std::uint64_t Formula::op_count_2input(bool count_nots) const {
+std::uint64_t Formula::op_count_2input() const {
   std::uint64_t ops = 0;
   for (const Clause& clause : clauses_) {
     if (clause.size() > 1) ops += clause.size() - 1;  // OR tree
-    if (count_nots) {
-      for (const Lit lit : clause) {
-        if (lit.negated()) ++ops;
-      }
+    for (const Lit lit : clause) {
+      if (lit.negated()) ++ops;  // NOT
     }
   }
   if (!clauses_.empty()) ops += clauses_.size() - 1;  // AND tree
   return ops;
-}
-
-std::vector<Formula::Occurrence> Formula::occurrences() const {
-  std::vector<Occurrence> occ(n_vars_);
-  for (const Clause& clause : clauses_) {
-    for (const Lit lit : clause) {
-      if (lit.negated()) {
-        ++occ[lit.var()].negative;
-      } else {
-        ++occ[lit.var()].positive;
-      }
-    }
-  }
-  return occ;
-}
-
-std::vector<Var> Formula::compact() {
-  std::vector<std::uint8_t> used(n_vars_, 0);
-  for (const Clause& clause : clauses_) {
-    for (const Lit lit : clause) used[lit.var()] = 1;
-  }
-  std::vector<Var> remap(n_vars_, kInvalidVar);
-  Var next = 0;
-  for (Var v = 0; v < n_vars_; ++v) {
-    if (used[v] != 0) remap[v] = next++;
-  }
-  for (Clause& clause : clauses_) {
-    for (Lit& lit : clause) lit = Lit(remap[lit.var()], lit.negated());
-  }
-  if (!sampling_set_.empty()) {
-    std::vector<Var> remapped;
-    remapped.reserve(sampling_set_.size());
-    for (const Var v : sampling_set_) {
-      if (remap[v] != kInvalidVar) remapped.push_back(remap[v]);
-    }
-    sampling_set_ = std::move(remapped);  // remap preserves order/uniqueness
-  }
-  n_vars_ = next;
-  return remap;
 }
 
 void Formula::set_sampling_set(std::vector<Var> vars) {

@@ -42,13 +42,6 @@ class Formula {
   /// be >= n_vars().
   [[nodiscard]] bool satisfied_by(const Assignment& assignment) const;
 
-  /// Number of clauses the assignment satisfies (useful for local search and
-  /// for diagnosing near-misses from the gradient sampler).
-  [[nodiscard]] std::size_t count_satisfied(const Assignment& assignment) const;
-
-  /// Index of the first clause the assignment falsifies, or n_clauses().
-  [[nodiscard]] std::size_t first_falsified(const Assignment& assignment) const;
-
   /// Total literal occurrences across all clauses.
   [[nodiscard]] std::size_t n_literals() const;
 
@@ -57,20 +50,7 @@ class Formula {
   /// plus one NOT per negative literal (the probabilistic model executes
   /// those as 1-x).  This is the numerator of the paper's Fig. 4 (middle)
   /// reduction rate.
-  [[nodiscard]] std::uint64_t op_count_2input(bool count_nots = true) const;
-
-  /// Per-variable occurrence counts (positive, negative).
-  struct Occurrence {
-    std::uint32_t positive = 0;
-    std::uint32_t negative = 0;
-  };
-  [[nodiscard]] std::vector<Occurrence> occurrences() const;
-
-  /// Renumbers variables so that the used ones are contiguous; returns the
-  /// old->new map (kInvalidVar for unused).  Unused variables commonly appear
-  /// after benchmark preprocessing.  A sampling set is remapped through the
-  /// same table, dropping members that became unused.
-  std::vector<Var> compact();
+  [[nodiscard]] std::uint64_t op_count_2input() const;
 
   /// Sampling (projection) set — the variables a DIMACS 'c ind' declaration
   /// marks as the ones whose assignments matter (QuickSampler / UniGen

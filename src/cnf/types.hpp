@@ -38,7 +38,6 @@ class Lit {
 
   /// Raw code for direct array indexing (2*var + sign).
   [[nodiscard]] constexpr std::uint32_t code() const { return code_; }
-  [[nodiscard]] static constexpr Lit from_code(std::uint32_t code) { return Lit(code); }
 
   [[nodiscard]] constexpr int to_dimacs() const {
     const int v = static_cast<int>(var()) + 1;

@@ -439,13 +439,12 @@ ExprId Manager::simplify(ExprId id, std::uint32_t max_resynth_vars) {
   return best;
 }
 
-std::uint64_t Manager::op_count_2input(ExprId id, bool count_nots) const {
+std::uint64_t Manager::op_count_2input(ExprId id) const {
   const ExprId roots[1] = {id};
-  return op_count_2input(std::span<const ExprId>(roots), count_nots);
+  return op_count_2input(std::span<const ExprId>(roots));
 }
 
-std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots,
-                                       bool count_nots) const {
+std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots) const {
   std::uint64_t ops = 0;
   std::unordered_map<ExprId, bool> seen;
   std::vector<ExprId> stack(roots.begin(), roots.end());
@@ -460,7 +459,7 @@ std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots,
       case Kind::kVar:
         break;
       case Kind::kNot:
-        if (count_nots) ops += 1;
+        ops += 1;
         break;
       case Kind::kAnd:
       case Kind::kOr:

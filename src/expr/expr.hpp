@@ -96,12 +96,11 @@ class Manager {
   [[nodiscard]] ExprId simplify(ExprId id, std::uint32_t max_resynth_vars = 12);
 
   /// 2-input gate-equivalent cost of the sub-DAG under id (shared nodes
-  /// counted once).  NOT costs 1 when count_nots.
-  [[nodiscard]] std::uint64_t op_count_2input(ExprId id, bool count_nots = true) const;
+  /// counted once).  NOT costs 1.
+  [[nodiscard]] std::uint64_t op_count_2input(ExprId id) const;
 
   /// As above for a multi-rooted DAG (shared logic across roots counted once).
-  [[nodiscard]] std::uint64_t op_count_2input(std::span<const ExprId> roots,
-                                              bool count_nots = true) const;
+  [[nodiscard]] std::uint64_t op_count_2input(std::span<const ExprId> roots) const;
 
   /// Human-readable infix form with ~ & | ^ and x<i> variables.
   [[nodiscard]] std::string to_string(ExprId id) const;

@@ -146,18 +146,4 @@ std::vector<Cube> minimize_sop(const TruthTable& tt) {
   return cover;
 }
 
-std::uint64_t sop_cost(const std::vector<Cube>& cover, bool count_nots) {
-  if (cover.empty()) return 0;
-  std::uint64_t cost = cover.size() - 1;  // OR tree
-  for (const Cube& cube : cover) {
-    const int lits = cube.n_literals();
-    if (lits > 1) cost += static_cast<std::uint64_t>(lits) - 1;  // AND tree
-    if (count_nots) {
-      cost += static_cast<std::uint64_t>(
-          std::popcount(cube.mask & ~cube.value));  // negated literals
-    }
-  }
-  return cost;
-}
-
 }  // namespace hts::expr

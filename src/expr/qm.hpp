@@ -37,9 +37,4 @@ struct Cube {
 /// constant false; a single all-dont-care cube means constant true.
 [[nodiscard]] std::vector<Cube> minimize_sop(const TruthTable& tt);
 
-/// Cost of a SOP cover in 2-input gate equivalents: per cube
-/// (#literals - 1) ANDs + #negated literals NOTs, plus (#cubes - 1) ORs.
-[[nodiscard]] std::uint64_t sop_cost(const std::vector<Cube>& cover,
-                                     bool count_nots = true);
-
 }  // namespace hts::expr

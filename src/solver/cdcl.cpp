@@ -240,12 +240,6 @@ Lit CdclSolver::pick_branch() {
     case CdclConfig::Polarity::kSaved:
       phase = saved_phase_[chosen] != 0;
       break;
-    case CdclConfig::Polarity::kFalse:
-      phase = false;
-      break;
-    case CdclConfig::Polarity::kTrue:
-      phase = true;
-      break;
     case CdclConfig::Polarity::kRandom:
       phase = rng_.next_bool();
       break;
@@ -547,10 +541,7 @@ void CdclSolver::reshuffle(std::uint64_t seed) {
   for (double& a : activity_) a = rng_.next_double();
   var_inc_ = 1.0;
   rebuild_order_heap();
-  if (config_.polarity == CdclConfig::Polarity::kRandom ||
-      config_.polarity == CdclConfig::Polarity::kSaved) {
-    for (auto& phase : saved_phase_) phase = rng_.next_bool() ? 1 : 0;
-  }
+  for (auto& phase : saved_phase_) phase = rng_.next_bool() ? 1 : 0;
 }
 
 Status solve_formula(const cnf::Formula& formula, cnf::Assignment* model_out) {

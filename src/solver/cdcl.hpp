@@ -28,7 +28,8 @@ struct CdclConfig {
   /// Fraction of decisions taken uniformly at random (CMSGen-style
   /// diversification).
   double random_decision_freq = 0.0;
-  enum class Polarity : std::uint8_t { kSaved, kFalse, kTrue, kRandom };
+  /// Decision phase: the saved (last assigned) value, or a fair coin.
+  enum class Polarity : std::uint8_t { kSaved, kRandom };
   Polarity polarity = Polarity::kSaved;
   std::uint64_t seed = 0x5eed;
   /// <= 0 disables the conflict budget.

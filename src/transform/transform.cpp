@@ -18,6 +18,12 @@ using cnf::Lit;
 using cnf::Var;
 using expr::ExprId;
 
+/// Pending-block cap: blocks larger than this flush as an auxiliary
+/// constraint (keeps worst-case cost linear; Tseitin signatures are tiny).
+constexpr std::size_t kMaxBlockClauses = 64;
+/// Quine-McCluskey resynthesis bound (larger supports keep factored form).
+constexpr std::uint32_t kSimplifyMaxVars = 10;
+
 /// One recovered definition, in discovery order.
 struct Definition {
   enum class Kind : std::uint8_t {
@@ -33,8 +39,8 @@ struct Definition {
 
 class Extractor {
  public:
-  Extractor(const cnf::Formula& formula, const Config& config)
-      : formula_(formula), config_(config), roles_(formula.n_vars(), VarRole::kUnseen) {}
+  explicit Extractor(const cnf::Formula& formula)
+      : formula_(formula), roles_(formula.n_vars(), VarRole::kUnseen) {}
 
   Result run() {
     util::Timer timer;
@@ -46,7 +52,7 @@ class Extractor {
       const bool last = (i + 1 == clauses.size());
       if (!block_.empty() &&
           (last || !shares_variable(clauses[i + 1]) ||
-           block_.size() >= config_.max_block_clauses)) {
+           block_.size() >= kMaxBlockClauses)) {
         flush_block();
       }
     }
@@ -55,8 +61,8 @@ class Extractor {
     result.stats.n_gate_definitions = n_gate_definitions_;
     result.stats.n_const_promotions = n_const_promotions_;
     result.stats.n_flushed_blocks = n_flushed_blocks_;
-    result.stats.cnf_ops = formula_.op_count_2input(config_.count_nots);
-    result.stats.circuit_ops = result.circuit.op_count_2input(config_.count_nots);
+    result.stats.cnf_ops = formula_.op_count_2input();
+    result.stats.circuit_ops = result.circuit.op_count_2input();
     result.stats.n_primary_inputs = result.circuit.n_inputs();
     result.stats.n_primary_outputs = result.circuit.outputs().size();
     result.proven_unsat = proven_unsat_;
@@ -136,7 +142,7 @@ class Extractor {
       }
       if (!complement) continue;
 
-      const ExprId simplified = exprs_.simplify(f, config_.simplify_max_vars);
+      const ExprId simplified = exprs_.simplify(f, kSimplifyMaxVars);
       if (exprs_.is_const(simplified)) {
         // Constant constraint: v is a primary output pinned to f's value.
         definitions_.push_back(Definition{Definition::Kind::kConstant, v,
@@ -177,7 +183,7 @@ class Extractor {
       conjuncts.push_back(exprs_.mk_or(std::move(disjuncts)));
     }
     ExprId conj = exprs_.mk_and(std::move(conjuncts));
-    conj = exprs_.simplify(conj, config_.simplify_max_vars);
+    conj = exprs_.simplify(conj, kSimplifyMaxVars);
     clear_block();
     ++n_flushed_blocks_;
 
@@ -265,7 +271,6 @@ class Extractor {
   }
 
   const cnf::Formula& formula_;
-  Config config_;
   expr::Manager exprs_;
   std::vector<VarRole> roles_;
   std::vector<std::size_t> block_;  // pending clause indices (SC)
@@ -288,8 +293,8 @@ cnf::Assignment Result::project(const std::vector<std::uint8_t>& signal_values) 
   return assignment;
 }
 
-Result transform_cnf(const cnf::Formula& formula, const Config& config) {
-  Extractor extractor(formula, config);
+Result transform_cnf(const cnf::Formula& formula, const Config&) {
+  Extractor extractor(formula);
   return extractor.run();
 }
 

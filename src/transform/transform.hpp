@@ -38,16 +38,11 @@ enum class VarRole : std::uint8_t {
   kPrimaryOutput,
 };
 
-struct Config {
-  /// Pending-block cap: blocks larger than this flush as an auxiliary
-  /// constraint (keeps worst-case cost linear; Tseitin signatures are tiny).
-  std::size_t max_block_clauses = 64;
-  /// Quine-McCluskey resynthesis bound (larger supports keep factored form).
-  std::uint32_t simplify_max_vars = 10;
-  /// Count inverters as ops in the reduction statistics (the probabilistic
-  /// model executes NOT as 1-x, so the paper's op counts include them).
-  bool count_nots = true;
-};
+/// Empty: Algorithm 1 has no settings (the block cap and the resynthesis
+/// bound are constants in transform.cpp).  It stays only because the
+/// benchmark's replica (perfbench/src/layers.cpp) constructs
+/// `transform::Config{}`; it goes when that replica does.
+struct Config {};
 
 struct Stats {
   double transform_ms = 0.0;
@@ -99,8 +94,9 @@ struct Result {
   }
 };
 
-/// Runs Algorithm 1 on the formula.
+/// Runs Algorithm 1 on the formula.  The second parameter is unused (see
+/// Config).
 [[nodiscard]] Result transform_cnf(const cnf::Formula& formula,
-                                   const Config& config = {});
+                                   const Config& = {});
 
 }  // namespace hts::transform

@@ -1,12 +1,14 @@
 // Tests for the benchmark-instance generators: witnesses satisfy the
 // encodings, generation is deterministic, sizes land in the published
-// ballparks, name dispatch covers the full grammar, and the transformation
-// digests every family.
+// ballparks, name dispatch covers the full grammar, bad scales are
+// rejected, and the transformation digests every family.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "benchgen/families.hpp"
 #include "benchgen/suite.hpp"
@@ -143,6 +145,24 @@ TEST(Families, BadNamesRejected) {
   EXPECT_THROW((void)make_instance("nonsense"), std::invalid_argument);
   EXPECT_THROW((void)make_instance("or-xx-1-1-UC-1"), std::invalid_argument);
   EXPECT_THROW((void)make_instance("Prod-abc"), std::invalid_argument);
+}
+
+TEST(Families, ScaleMustBeFiniteAndPositive) {
+  // The s15850a and Prod builders cast scaled counts to std::size_t, which
+  // is undefined for a negative, NaN, infinite or overflowing product, so
+  // such scales (and zero) must be refused before any cast.
+  for (const char* name : {"s15850a_3_2", "Prod-8"}) {
+    for (const double scale : {-0.5, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(), 1e300}) {
+      GenOptions options;
+      options.scale = scale;
+      EXPECT_THROW((void)make_instance(name, options), std::invalid_argument)
+          << name << " at scale " << scale;
+    }
+    GenOptions small;
+    small.scale = 0.05;  // what the sampler suites use
+    EXPECT_NO_THROW((void)make_instance(name, small)) << name;
+  }
 }
 
 TEST(Families, Suite60AllGenerate) {

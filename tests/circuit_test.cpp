@@ -145,15 +145,13 @@ TEST(Circuit, LevelsAndDepth) {
 TEST(Circuit, OpCount2Input) {
   MuxFixture fx;
   // AND + AND + OR = 3, NOT = 1.
-  EXPECT_EQ(fx.circuit.op_count_2input(true), 4u);
-  EXPECT_EQ(fx.circuit.op_count_2input(false), 3u);
+  EXPECT_EQ(fx.circuit.op_count_2input(), 4u);
 
   Circuit wide;
   std::vector<SignalId> ins;
   for (int i = 0; i < 6; ++i) ins.push_back(wide.add_input());
   wide.add_gate(GateType::kNand, ins);
-  EXPECT_EQ(wide.op_count_2input(true), 6u);  // 5 ANDs + 1 NOT
-  EXPECT_EQ(wide.op_count_2input(false), 5u);
+  EXPECT_EQ(wide.op_count_2input(), 6u);  // 5 ANDs + 1 NOT
 }
 
 TEST(Circuit, FaninOrderingEnforced) {

@@ -59,43 +59,11 @@ TEST(Formula, SatisfiedBy) {
   EXPECT_FALSE(f.satisfied_by({1, 0, 1}));   // violates clause 3
 }
 
-TEST(Formula, CountSatisfiedAndFirstFalsified) {
-  const Formula f = tiny_formula();
-  EXPECT_EQ(f.count_satisfied({1, 1, 0}), 3u);
-  EXPECT_EQ(f.count_satisfied({0, 1, 0}), 2u);
-  EXPECT_EQ(f.first_falsified({1, 1, 0}), 3u);
-  EXPECT_EQ(f.first_falsified({0, 1, 0}), 0u);
-}
-
 TEST(Formula, LiteralAndOpCounts) {
   const Formula f = tiny_formula();
   EXPECT_EQ(f.n_literals(), 6u);
   // Each 2-literal clause: 1 OR; conjunction: 2 ANDs; 3 negated literals.
-  EXPECT_EQ(f.op_count_2input(true), 3u + 2u + 3u);
-  EXPECT_EQ(f.op_count_2input(false), 3u + 2u);
-}
-
-TEST(Formula, OccurrenceCounts) {
-  const Formula f = tiny_formula();
-  const auto occ = f.occurrences();
-  EXPECT_EQ(occ[0].positive, 1u);
-  EXPECT_EQ(occ[0].negative, 1u);
-  EXPECT_EQ(occ[1].positive, 1u);
-  EXPECT_EQ(occ[1].negative, 1u);
-  EXPECT_EQ(occ[2].positive, 1u);
-  EXPECT_EQ(occ[2].negative, 1u);
-}
-
-TEST(Formula, CompactRemovesUnusedVars) {
-  Formula f(10);
-  f.add_clause({Lit(2, false), Lit(7, true)});
-  const auto remap = f.compact();
-  EXPECT_EQ(f.n_vars(), 2u);
-  EXPECT_EQ(remap[2], 0u);
-  EXPECT_EQ(remap[7], 1u);
-  EXPECT_EQ(remap[0], kInvalidVar);
-  EXPECT_EQ(f.clause(0)[0].var(), 0u);
-  EXPECT_EQ(f.clause(0)[1].var(), 1u);
+  EXPECT_EQ(f.op_count_2input(), 3u + 2u + 3u);
 }
 
 TEST(Formula, NewVarGrows) {
@@ -306,19 +274,6 @@ TEST(Formula, SamplingSetValidatesSortsAndDedups) {
   EXPECT_THROW(f.set_sampling_set({5}), std::invalid_argument);
   f.set_sampling_set({});
   EXPECT_FALSE(f.has_sampling_set());
-}
-
-TEST(Formula, CompactRemapsSamplingSet) {
-  // Variables 0 and 3 are unused; the set {0, 1, 3, 4} must shrink to the
-  // surviving members under their new numbering.
-  Formula f(5);
-  f.add_clause({Lit(1, false), Lit(2, true)});
-  f.add_clause({Lit(4, false)});
-  f.set_sampling_set({0, 1, 3, 4});
-  (void)f.compact();
-  EXPECT_EQ(f.n_vars(), 3u);
-  const std::vector<Var> expect = {0, 2};  // old 1 -> 0, old 4 -> 2
-  EXPECT_EQ(f.sampling_set(), expect);
 }
 
 TEST(Dimacs, WriteParseRoundTrip) {

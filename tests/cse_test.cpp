@@ -138,7 +138,7 @@ TEST(CseTest, TransformedTseitinCnfCollapsesDuplicateLogic) {
   for (const char* name : {"s15850a_3_2", "Prod-8"}) {
     const benchgen::Instance instance = benchgen::make_instance(name);
     const transform::Result transformed =
-        transform::transform_cnf(instance.formula, {});
+        transform::transform_cnf(instance.formula);
     ASSERT_FALSE(transformed.proven_unsat) << name;
     const CompiledCircuit opt(transformed.circuit);
     EXPECT_GT(opt.opt_stats().cse_eliminated, 0u) << name;

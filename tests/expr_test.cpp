@@ -248,13 +248,6 @@ TEST(Qm, CoverIsExactOnRandomFunctions) {
   }
 }
 
-TEST(Qm, SopCostCountsOps) {
-  // (x0 & ~x1) | x2 — cube1: 1 AND + 1 NOT, cube2: 0; OR: 1 -> total 3.
-  const std::vector<Cube> cover{Cube{0b011, 0b001}, Cube{0b100, 0b100}};
-  EXPECT_EQ(sop_cost(cover, true), 3u);
-  EXPECT_EQ(sop_cost(cover, false), 2u);
-}
-
 // --- simplify -------------------------------------------------------------------
 
 TEST_F(ExprTest, SimplifyProductOfSumsToMux) {
