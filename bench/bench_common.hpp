@@ -9,9 +9,13 @@
 //   HTS_BENCH_SCALE          size multiplier for the big instance families
 //   HTS_BENCH_SEED           base RNG seed
 //   HTS_BENCH_BATCH          gradient sampler batch size (0 = per-instance)
+//
+// A negative HTS_BENCH_MIN_SOLUTIONS or HTS_BENCH_BATCH prints a message
+// naming the variable and exits with status 2.
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -29,15 +33,25 @@
 
 namespace hts::bench {
 
+/// Reads a count from the environment; a negative one exits with status 2
+/// rather than wrap to a huge std::size_t.
+inline std::size_t env_count(const char* name, std::int64_t fallback) {
+  const std::int64_t value = util::env_int(name, fallback);
+  if (value < 0) {
+    std::fprintf(stderr, "%s must be >= 0 (got %lld)\n", name,
+                 static_cast<long long>(value));
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(value);
+}
+
 struct BenchEnv {
   double budget_ms = util::env_double("HTS_BENCH_BUDGET_MS", 1500.0);
-  std::size_t min_solutions = static_cast<std::size_t>(
-      util::env_int("HTS_BENCH_MIN_SOLUTIONS", 1000));
+  std::size_t min_solutions = env_count("HTS_BENCH_MIN_SOLUTIONS", 1000);
   double scale = util::env_double("HTS_BENCH_SCALE", 1.0);
   std::uint64_t seed =
       static_cast<std::uint64_t>(util::env_int("HTS_BENCH_SEED", 42));
-  std::size_t batch =
-      static_cast<std::size_t>(util::env_int("HTS_BENCH_BATCH", 0));
+  std::size_t batch = env_count("HTS_BENCH_BATCH", 0);
 };
 
 /// Batch size heuristic mirroring the paper's "100 to 1,000,000 depending on

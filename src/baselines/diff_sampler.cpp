@@ -38,6 +38,9 @@ FlatProblem build_flat_problem(const cnf::Formula& formula) {
 
 sampler::RunResult DiffSampler::run(const cnf::Formula& formula,
                                     const sampler::RunOptions& options) {
+  // run_gd_loop checks too, but only after the flat problem is built.
+  sampler::require_run_bound(options, config_.max_rounds > 0);
+  sampler::validate_config(config_, formula.n_vars());
   util::Timer setup_timer;
   const FlatProblem problem = build_flat_problem(formula);
   const double setup_ms = setup_timer.milliseconds();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -178,6 +179,15 @@ void validate_config(const GdLoopConfig& config, std::size_t n_vars) {
   using Invalid = std::invalid_argument;
   auto positive = [](float x) { return std::isfinite(x) && x > 0.0f; };
   if (config.batch == 0) throw Invalid("config.batch must be > 0");
+  // Whole 64-row words of the batch, times one float per variable, in bytes.
+  const std::size_t max_batch = std::numeric_limits<std::size_t>::max() /
+                                sizeof(float) / std::max<std::size_t>(n_vars, 1) /
+                                64 * 64;
+  if (config.batch > max_batch) {
+    throw Invalid("config.batch " + std::to_string(config.batch) +
+                  " overflows the batch buffers for " + std::to_string(n_vars) +
+                  " variables (at most " + std::to_string(max_batch) + ")");
+  }
   if (config.iterations < 0) {
     throw Invalid("config.iterations must be >= 0, got " +
                   std::to_string(config.iterations));

@@ -86,6 +86,13 @@ struct AmplifyConfig {
 /// what their front end needs, so a new knob reaches every sampler and the
 /// service without a mapping to update.
 struct GdLoopConfig {
+  /// Rows per round, > 0.  The batch padded to whole 64-row words, times 4
+  /// bytes per problem variable, must fit in std::size_t (validate_config
+  /// refuses a larger batch), so neither the padded row count nor the
+  /// engine's V (one float per circuit input per row; circuit inputs are
+  /// problem variables) can wrap.  The harvest's per-row buffers are
+  /// smaller than V; the engine's output activations are larger only when
+  /// the circuit has more outputs than inputs.
   std::size_t batch = 4096;
   int iterations = 5;           // the paper's setting; must be >= 0
   float learning_rate = 10.0f;  // the paper's setting
@@ -231,7 +238,8 @@ struct GdLoopExtras : LoopCounters {
 
 /// The one check of a config every entry point runs before it builds
 /// anything: run_gd_loop (hence every stand-alone sampler) and the service's
-/// admission.  Throws std::invalid_argument, naming the field, for batch 0,
+/// admission.  Throws std::invalid_argument, naming the field, for batch 0
+/// or a batch whose buffer sizes would overflow (see GdLoopConfig::batch),
 /// negative iterations, a non-finite or non-positive learning_rate or
 /// init_std, a non-finite lit_weights weight, or a lit_weights variable not
 /// below `n_vars` (the problem's var_signal->size(), which for a CNF is its

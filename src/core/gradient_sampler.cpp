@@ -9,6 +9,7 @@ RunResult GradientSampler::run(const cnf::Formula& formula,
                                const RunOptions& options) {
   // run_gd_loop checks too, but only after the transform ran.
   require_run_bound(options, config_.max_rounds > 0);
+  validate_config(config_, formula.n_vars());
   RunResult result;
   result.sampler_name = name();
   extras_ = GdLoopExtras{};

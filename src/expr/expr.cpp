@@ -7,6 +7,17 @@
 
 namespace hts::expr {
 
+namespace {
+
+/// simplify() resynthesizes supports of at most this many variables, so the
+/// memo never holds a table over more than 16 words.
+constexpr std::uint32_t kMaxResynthVars = 10;
+
+/// unique_'s first size.
+constexpr std::size_t kMinTableSize = 1024;
+
+}  // namespace
+
 Manager::Manager() {
   nodes_.push_back(Node{Kind::kConst0, 0, 0, 0});
   nodes_.push_back(Node{Kind::kConst1, 0, 0, 0});
@@ -30,24 +41,36 @@ std::uint64_t Manager::node_key(Kind kind, std::uint32_t var,
     h = (h ^ c) * 0x94d049bb133111ebULL;
     h ^= h >> 29;
   }
-  return h;
+  // unique_ probes from the low bits; fold the high ones in (a leaf's
+  // product alone keys its low bits on the variable's low bits only).
+  return h ^ (h >> 32);
+}
+
+void Manager::grow_unique() {
+  std::vector<ExprId> table(std::max(kMinTableSize, 2 * unique_.size()), kNoExpr);
+  const std::size_t mask = table.size() - 1;
+  // Nodes 0 and 1 (the constants) are never interned.
+  for (ExprId id = 2; id < nodes_.size(); ++id) {
+    std::size_t slot = node_key(kind(id), nodes_[id].var, children(id)) & mask;
+    while (table[slot] != kNoExpr) slot = (slot + 1) & mask;
+    table[slot] = id;
+  }
+  unique_ = std::move(table);
 }
 
 ExprId Manager::intern(Kind kind, std::uint32_t var,
                        std::span<const ExprId> children) {
-  const std::uint64_t key = node_key(kind, var, children);
-  auto& bucket = unique_[key];
-  for (const ExprId candidate : bucket) {
+  if (2 * (nodes_.size() + 1) > unique_.size()) grow_unique();
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = node_key(kind, var, children) & mask;
+  for (; unique_[slot] != kNoExpr; slot = (slot + 1) & mask) {
+    const ExprId candidate = unique_[slot];
     const Node& n = nodes_[candidate];
-    if (n.kind != kind || n.var != var || n.child_count != children.size()) continue;
-    bool same = true;
-    for (std::uint32_t i = 0; i < n.child_count; ++i) {
-      if (child_pool_[n.child_begin + i] != children[i]) {
-        same = false;
-        break;
-      }
+    if (n.kind == kind && n.var == var && n.child_count == children.size() &&
+        std::equal(children.begin(), children.end(),
+                   child_pool_.begin() + n.child_begin)) {
+      return candidate;
     }
-    if (same) return candidate;
   }
   Node node;
   node.kind = kind;
@@ -57,15 +80,11 @@ ExprId Manager::intern(Kind kind, std::uint32_t var,
   child_pool_.insert(child_pool_.end(), children.begin(), children.end());
   const auto id = static_cast<ExprId>(nodes_.size());
   nodes_.push_back(node);
-  bucket.push_back(id);
+  unique_[slot] = id;
   return id;
 }
 
-ExprId Manager::var(std::uint32_t v) {
-  auto [it, inserted] = var_nodes_.try_emplace(v, kNoExpr);
-  if (inserted) it->second = intern(Kind::kVar, v, {});
-  return it->second;
-}
+ExprId Manager::var(std::uint32_t v) { return intern(Kind::kVar, v, {}); }
 
 ExprId Manager::mk_not(ExprId a) {
   if (a == const0()) return const1();
@@ -179,23 +198,26 @@ ExprId Manager::mk_xor(std::vector<ExprId> items) {
   return parity ? mk_not(result) : result;
 }
 
+void Manager::begin_visit() const {
+  visited_.grow(nodes_.size());
+  visited_.clear();
+}
+
 std::vector<std::uint32_t> Manager::support(ExprId id) const {
   std::vector<std::uint32_t> vars;
-  std::vector<ExprId> stack{id};
-  std::unordered_map<ExprId, bool> seen;
-  while (!stack.empty()) {
-    const ExprId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
-    if (kind(cur) == Kind::kVar) {
-      vars.push_back(var_index(cur));
-    } else {
-      for (const ExprId c : children(cur)) stack.push_back(c);
+  begin_visit();
+  visited_.insert(id);
+  stack_.assign(1, id);
+  while (!stack_.empty()) {
+    const ExprId cur = stack_.back();
+    stack_.pop_back();
+    if (kind(cur) == Kind::kVar) vars.push_back(var_index(cur));
+    for (const ExprId c : children(cur)) {
+      if (visited_.insert(c)) stack_.push_back(c);
     }
   }
+  // A variable has one node, so the list holds no duplicates.
   std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
 }
 
@@ -234,59 +256,80 @@ TruthTable Manager::truth_table(ExprId id,
                                 std::span<const std::uint32_t> support_vars) const {
   const auto n = static_cast<std::uint32_t>(support_vars.size());
   HTS_CHECK(n <= kMaxTruthTableVars);
-  std::unordered_map<std::uint32_t, std::uint32_t> var_to_slot;
-  for (std::uint32_t j = 0; j < n; ++j) var_to_slot[support_vars[j]] = j;
+  HTS_DCHECK(std::is_sorted(support_vars.begin(), support_vars.end()));
+  const std::size_t n_words = TruthTable::word_count(n);
+  if (table_index_.size() < nodes_.size()) table_index_.resize(nodes_.size());
+  std::uint32_t n_tables = 0;
+  auto table_of = [&](ExprId node) {
+    return table_words_.data() + std::size_t{table_index_[node]} * n_words;
+  };
 
-  std::unordered_map<ExprId, TruthTable> memo;
   // Post-order evaluation with an explicit stack to avoid deep recursion on
-  // chain-shaped circuits.
-  std::vector<std::pair<ExprId, bool>> stack{{id, false}};
-  while (!stack.empty()) {
-    auto [cur, expanded] = stack.back();
-    stack.pop_back();
-    if (memo.contains(cur)) continue;
+  // chain-shaped circuits.  A node is marked when it is expanded, not when
+  // pushed: in a DAG a marked child is then already evaluated or below its
+  // parent on the stack.  Rows past 2^n in the last word may hold garbage
+  // until from_words clears them.
+  begin_visit();
+  walk_.assign(1, {id, false});
+  while (!walk_.empty()) {
+    const auto [cur, expanded] = walk_.back();
+    walk_.pop_back();
     if (!expanded) {
-      stack.push_back({cur, true});
-      for (const ExprId c : children(cur)) stack.push_back({c, false});
+      if (!visited_.insert(cur)) continue;
+      walk_.push_back({cur, true});
+      for (const ExprId c : children(cur)) {
+        if (!visited_.contains(c)) walk_.push_back({c, false});
+      }
       continue;
     }
-    TruthTable tt;
+    table_index_[cur] = n_tables++;
+    if (table_words_.size() < n_tables * n_words) {
+      table_words_.resize(n_tables * n_words);
+    }
+    std::uint64_t* out = table_of(cur);
+    const auto kids = children(cur);
     switch (kind(cur)) {
       case Kind::kConst0:
-        tt = TruthTable::constant(n, false);
+        std::fill(out, out + n_words, 0ULL);
         break;
       case Kind::kConst1:
-        tt = TruthTable::constant(n, true);
+        std::fill(out, out + n_words, ~0ULL);
         break;
       case Kind::kVar: {
-        const auto it = var_to_slot.find(var_index(cur));
-        HTS_CHECK_MSG(it != var_to_slot.end(),
+        const auto it = std::lower_bound(support_vars.begin(), support_vars.end(),
+                                         var_index(cur));
+        HTS_CHECK_MSG(it != support_vars.end() && *it == var_index(cur),
                       "truth_table support does not cover expression");
-        tt = TruthTable::projection(n, it->second);
+        const auto j = static_cast<std::uint32_t>(it - support_vars.begin());
+        for (std::size_t w = 0; w < n_words; ++w) {
+          out[w] = TruthTable::projection_word(j, w);
+        }
         break;
       }
-      case Kind::kNot:
-        tt = ~memo.at(children(cur)[0]);
-        break;
-      case Kind::kAnd: {
-        tt = TruthTable::constant(n, true);
-        for (const ExprId c : children(cur)) tt = tt & memo.at(c);
+      case Kind::kNot: {
+        const std::uint64_t* in = table_of(kids[0]);
+        for (std::size_t w = 0; w < n_words; ++w) out[w] = ~in[w];
         break;
       }
-      case Kind::kOr: {
-        tt = TruthTable::constant(n, false);
-        for (const ExprId c : children(cur)) tt = tt | memo.at(c);
-        break;
-      }
+      case Kind::kAnd:
+      case Kind::kOr:
       case Kind::kXor: {
-        tt = TruthTable::constant(n, false);
-        for (const ExprId c : children(cur)) tt = tt ^ memo.at(c);
+        const Kind op = kind(cur);
+        const std::uint64_t* first = table_of(kids[0]);
+        std::copy(first, first + n_words, out);
+        for (const ExprId c : kids.subspan(1)) {
+          const std::uint64_t* in = table_of(c);
+          for (std::size_t w = 0; w < n_words; ++w) {
+            out[w] = op == Kind::kAnd  ? out[w] & in[w]
+                     : op == Kind::kOr ? out[w] | in[w]
+                                       : out[w] ^ in[w];
+          }
+        }
         break;
       }
     }
-    memo.emplace(cur, std::move(tt));
   }
-  return memo.at(id);
+  return TruthTable::from_words(n, {table_of(id), n_words});
 }
 
 ExprId Manager::negate(ExprId id) {
@@ -412,19 +455,33 @@ ExprId Manager::from_sop(std::span<const Cube> cover,
   return mk_or(std::move(terms));
 }
 
-ExprId Manager::simplify(ExprId id, std::uint32_t max_resynth_vars) {
+std::size_t Manager::TableHash::operator()(const TruthTable& tt) const noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ tt.n_vars();
+  for (const std::uint64_t word : tt.words()) {
+    h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+const std::vector<Cube>& Manager::minimized(const TruthTable& tt) {
+  auto it = sop_memo_.find(tt);
+  if (it == sop_memo_.end()) it = sop_memo_.emplace(tt, minimize_sop(tt)).first;
+  return it->second;
+}
+
+ExprId Manager::simplify(ExprId id) {
   const std::vector<std::uint32_t> vars = support(id);
-  if (vars.size() > max_resynth_vars) return id;
+  if (vars.size() > kMaxResynthVars) return id;
 
   const TruthTable tt = truth_table(id, vars);
   if (tt.is_constant_false()) return const0();
   if (tt.is_constant_true()) return const1();
 
-  const std::vector<Cube> sop = minimize_sop(tt);
-  const std::vector<Cube> complement_sop = minimize_sop(~tt);
-
-  const ExprId sop_expr = from_sop(sop, vars);
-  const ExprId pos_expr = negate(from_sop(complement_sop, vars));
+  // Node creation order is part of the output (mk_andor sorts children by
+  // ExprId), so both covers are rebuilt even when the input stays best.
+  const ExprId sop_expr = from_sop(minimized(tt), vars);
+  const ExprId pos_expr = negate(from_sop(minimized(~tt), vars));
 
   ExprId best = id;
   std::uint64_t best_cost = op_count_2input(id);
@@ -446,13 +503,14 @@ std::uint64_t Manager::op_count_2input(ExprId id) const {
 
 std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots) const {
   std::uint64_t ops = 0;
-  std::unordered_map<ExprId, bool> seen;
-  std::vector<ExprId> stack(roots.begin(), roots.end());
-  while (!stack.empty()) {
-    const ExprId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
+  begin_visit();
+  stack_.clear();
+  for (const ExprId root : roots) {
+    if (visited_.insert(root)) stack_.push_back(root);
+  }
+  while (!stack_.empty()) {
+    const ExprId cur = stack_.back();
+    stack_.pop_back();
     switch (kind(cur)) {
       case Kind::kConst0:
       case Kind::kConst1:
@@ -467,7 +525,9 @@ std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots) const {
         ops += children(cur).size() - 1;
         break;
     }
-    for (const ExprId c : children(cur)) stack.push_back(c);
+    for (const ExprId c : children(cur)) {
+      if (visited_.insert(c)) stack_.push_back(c);
+    }
   }
   return ops;
 }

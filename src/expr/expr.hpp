@@ -9,15 +9,28 @@
 // parity normalization) so structurally-different but trivially-equal inputs
 // intern to one node.  Exact equivalence / complement checks use truth
 // tables when the combined support is small and fall back to BDDs.
+//
+// simplify() runs Quine-McCluskey once per distinct truth table over a
+// Manager's life: the covers are memoized by the table's variable count and
+// words.  The memo changes no node: both covers are still rebuilt on every
+// call, so node ids, and the order mk_and/mk_or sort children in, match an
+// unmemoized run.
+//
+// A Manager is single-threaded, even through its const methods: support,
+// truth_table and op_count_2input mark visited nodes in arrays the
+// Manager owns, so that a query allocates no map per call.  Give each
+// thread its own Manager (one transform owns one).
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "expr/qm.hpp"
 #include "expr/truth_table.hpp"
+#include "util/stamp_set.hpp"
 
 namespace hts::expr {
 
@@ -88,12 +101,13 @@ class Manager {
     return equivalent(a, negate(b));
   }
 
-  /// Semantic simplification: for supports <= max_resynth_vars the function
-  /// is resynthesized from its truth table via Quine-McCluskey (best of SOP
-  /// and POS); the cheaper of {input, resynthesis} in 2-input-equivalent ops
-  /// is returned.  Larger supports keep the (already locally simplified)
-  /// input.  This mirrors the paper's SymPy `simplify` step.
-  [[nodiscard]] ExprId simplify(ExprId id, std::uint32_t max_resynth_vars = 12);
+  /// Semantic simplification: for supports of at most 10 variables the
+  /// function is resynthesized from its truth table via Quine-McCluskey (best
+  /// of SOP and POS); the cheaper of {input, resynthesis} in 2-input-
+  /// equivalent ops is returned.  Larger supports keep the (already locally
+  /// simplified) input.  This mirrors the paper's SymPy `simplify` step;
+  /// the covers are memoized as the file comment describes.
+  [[nodiscard]] ExprId simplify(ExprId id);
 
   /// 2-input gate-equivalent cost of the sub-DAG under id (shared nodes
   /// counted once).  NOT costs 1.
@@ -121,6 +135,12 @@ class Manager {
                               std::span<const ExprId> children);
   [[nodiscard]] std::uint64_t node_key(Kind kind, std::uint32_t var,
                                        std::span<const ExprId> children) const;
+  /// Doubles unique_ (at least kMinTableSize slots) and re-inserts every
+  /// interned node.
+  void grow_unique();
+
+  /// Empties visited_ and makes every node addressable in it.
+  void begin_visit() const;
 
   /// Shared flatten/sort/dedupe/annihilate machinery for AND/OR.
   [[nodiscard]] ExprId mk_andor(Kind op, std::vector<ExprId> children);
@@ -128,11 +148,33 @@ class Manager {
   [[nodiscard]] bool equivalent_by_bdd(ExprId a, ExprId b,
                                        std::span<const std::uint32_t> support_vars);
 
+  /// minimize_sop(tt) through sop_memo_.
+  [[nodiscard]] const std::vector<Cube>& minimized(const TruthTable& tt);
+
+  struct TableHash {
+    [[nodiscard]] std::size_t operator()(const TruthTable& tt) const noexcept;
+  };
+
   std::vector<Node> nodes_;
   std::vector<ExprId> child_pool_;
-  std::unordered_map<std::uint64_t, std::vector<ExprId>> unique_;  // key -> candidates
+  /// Every interned node, by node_key: open addressing with linear probing,
+  /// kNoExpr marking a free slot.  A power of two, at most half full.
+  std::vector<ExprId> unique_;
   std::unordered_map<ExprId, ExprId> negate_cache_;
-  std::unordered_map<std::uint32_t, ExprId> var_nodes_;
+
+  // Traversal state of the const queries, kept across calls.
+  mutable util::StampSet visited_;
+  mutable std::vector<ExprId> stack_;
+  /// truth_table: the post-order walk, each node's table index, and the
+  /// tables, word_count(n) words each.
+  mutable std::vector<std::pair<ExprId, bool>> walk_;
+  mutable std::vector<std::uint32_t> table_index_;
+  mutable std::vector<std::uint64_t> table_words_;
+
+  /// Quine-McCluskey covers by table.  TruthTable equality compares the
+  /// variable count and the words, and the count matters: x0 & x1 over two
+  /// variables and x0 & x1 & ~x2 over three hold the same word, 0x8.
+  std::unordered_map<TruthTable, std::vector<Cube>, TableHash> sop_memo_;
 };
 
 }  // namespace hts::expr

@@ -33,7 +33,7 @@ std::vector<Cube> prime_implicants(const TruthTable& tt) {
     std::unordered_set<Cube, CubeKey> merged;
     const std::vector<Cube> cubes(current.begin(), current.end());
     // Group-by-mask then try merging cubes that differ in exactly one tested
-    // bit.  The quadratic scan is fine at QM's intended scale (<= 12 vars).
+    // bit.  The quadratic scan is fine at QM's intended scale (<= 10 vars).
     for (std::size_t i = 0; i < cubes.size(); ++i) {
       for (std::size_t j = i + 1; j < cubes.size(); ++j) {
         if (cubes[i].mask != cubes[j].mask) continue;

@@ -6,8 +6,8 @@
 // sub-expressions recovered by the CNF transformation into compact SOP/POS
 // form — the step the paper delegates to SymPy's simplify.  Exact prime
 // implicant generation; cover selection takes essentials first, then a
-// greedy set cover (optimal enough for the <= 12-variable functions the
-// transformation produces, and always correct).
+// greedy set cover (optimal enough for the <= 10-variable functions the
+// transformation resynthesizes, and always correct).
 
 #include <cstdint>
 #include <vector>

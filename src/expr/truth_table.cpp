@@ -1,5 +1,6 @@
 #include "expr/truth_table.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace hts::expr {
@@ -20,18 +21,27 @@ void TruthTable::trim() {
   if (rows < 64) bits_[0] &= (1ULL << rows) - 1;
 }
 
+std::uint64_t TruthTable::projection_word(std::uint32_t j, std::size_t w) {
+  if (j < 6) return kVarPattern[j];
+  // Variable j toggles every 2^j rows == every 2^(j-6) words.
+  return ((w >> (j - 6)) & 1) != 0 ? ~0ULL : 0ULL;
+}
+
 TruthTable TruthTable::projection(std::uint32_t n_vars, std::uint32_t j) {
   HTS_CHECK(j < n_vars);
   TruthTable tt(n_vars);
-  if (j < 6) {
-    for (auto& word : tt.bits_) word = kVarPattern[j];
-  } else {
-    // Variable j toggles every 2^j rows == every 2^(j-6) words.
-    const std::size_t block = std::size_t{1} << (j - 6);
-    for (std::size_t w = 0; w < tt.bits_.size(); ++w) {
-      tt.bits_[w] = ((w / block) & 1) != 0 ? ~0ULL : 0ULL;
-    }
+  for (std::size_t w = 0; w < tt.bits_.size(); ++w) {
+    tt.bits_[w] = projection_word(j, w);
   }
+  tt.trim();
+  return tt;
+}
+
+TruthTable TruthTable::from_words(std::uint32_t n_vars,
+                                  std::span<const std::uint64_t> words) {
+  TruthTable tt(n_vars);
+  HTS_CHECK(words.size() == tt.bits_.size());
+  std::copy(words.begin(), words.end(), tt.bits_.begin());
   tt.trim();
   return tt;
 }
@@ -49,33 +59,6 @@ TruthTable TruthTable::operator~() const {
   TruthTable result(n_vars_);
   for (std::size_t w = 0; w < bits_.size(); ++w) result.bits_[w] = ~bits_[w];
   result.trim();
-  return result;
-}
-
-TruthTable TruthTable::operator&(const TruthTable& other) const {
-  HTS_CHECK(n_vars_ == other.n_vars_);
-  TruthTable result(n_vars_);
-  for (std::size_t w = 0; w < bits_.size(); ++w) {
-    result.bits_[w] = bits_[w] & other.bits_[w];
-  }
-  return result;
-}
-
-TruthTable TruthTable::operator|(const TruthTable& other) const {
-  HTS_CHECK(n_vars_ == other.n_vars_);
-  TruthTable result(n_vars_);
-  for (std::size_t w = 0; w < bits_.size(); ++w) {
-    result.bits_[w] = bits_[w] | other.bits_[w];
-  }
-  return result;
-}
-
-TruthTable TruthTable::operator^(const TruthTable& other) const {
-  HTS_CHECK(n_vars_ == other.n_vars_);
-  TruthTable result(n_vars_);
-  for (std::size_t w = 0; w < bits_.size(); ++w) {
-    result.bits_[w] = bits_[w] ^ other.bits_[w];
-  }
   return result;
 }
 

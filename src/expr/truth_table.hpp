@@ -8,6 +8,7 @@
 // resynthesis all operate on them.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -22,7 +23,12 @@ class TruthTable {
 
   explicit TruthTable(std::uint32_t n_vars) : n_vars_(n_vars) {
     HTS_CHECK_MSG(n_vars <= kMaxTruthTableVars, "truth table support too large");
-    bits_.assign(word_count(), 0);
+    bits_.assign(word_count(n_vars), 0);
+  }
+
+  /// Words holding a table over n_vars variables (see words()).
+  [[nodiscard]] static std::size_t word_count(std::uint32_t n_vars) {
+    return n_vars < 6 ? 1 : std::size_t{1} << (n_vars - 6);
   }
 
   [[nodiscard]] std::uint32_t n_vars() const { return n_vars_; }
@@ -49,10 +55,16 @@ class TruthTable {
 
   [[nodiscard]] static TruthTable constant(std::uint32_t n_vars, bool value);
 
+  /// Word w of projection(n_vars, j) for any n_vars > j, before the rows
+  /// past n_rows() are cleared.
+  [[nodiscard]] static std::uint64_t projection_word(std::uint32_t j, std::size_t w);
+
+  /// The table whose words() are `words` (word_count(n_vars) of them), with
+  /// the rows past n_rows() cleared.
+  [[nodiscard]] static TruthTable from_words(std::uint32_t n_vars,
+                                             std::span<const std::uint64_t> words);
+
   [[nodiscard]] TruthTable operator~() const;
-  [[nodiscard]] TruthTable operator&(const TruthTable& other) const;
-  [[nodiscard]] TruthTable operator|(const TruthTable& other) const;
-  [[nodiscard]] TruthTable operator^(const TruthTable& other) const;
 
   [[nodiscard]] bool operator==(const TruthTable& other) const;
 
@@ -65,10 +77,11 @@ class TruthTable {
   /// Row indices of all ones (the minterms).
   [[nodiscard]] std::vector<std::uint64_t> minterms() const;
 
+  /// The rows packed 64 per word: bit r of word w is row 64 * w + r.  Rows
+  /// past n_rows() in the last word are zero.
+  [[nodiscard]] std::span<const std::uint64_t> words() const { return bits_; }
+
  private:
-  [[nodiscard]] std::size_t word_count() const {
-    return static_cast<std::size_t>((n_rows() + 63) >> 6);
-  }
   /// Masks off the unused tail bits of the last word for n_vars < 6.
   void trim();
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 #include "circuit/expr_import.hpp"
 #include "expr/expr.hpp"
+#include "util/stamp_set.hpp"
 #include "util/timer.hpp"
 
 namespace hts::transform {
@@ -21,8 +21,6 @@ using expr::ExprId;
 /// Pending-block cap: blocks larger than this flush as an auxiliary
 /// constraint (keeps worst-case cost linear; Tseitin signatures are tiny).
 constexpr std::size_t kMaxBlockClauses = 64;
-/// Quine-McCluskey resynthesis bound (larger supports keep factored form).
-constexpr std::uint32_t kSimplifyMaxVars = 10;
 
 /// One recovered definition, in discovery order.
 struct Definition {
@@ -40,7 +38,10 @@ struct Definition {
 class Extractor {
  public:
   explicit Extractor(const cnf::Formula& formula)
-      : formula_(formula), roles_(formula.n_vars(), VarRole::kUnseen) {}
+      : formula_(formula), roles_(formula.n_vars(), VarRole::kUnseen) {
+    block_vars_.grow(formula.n_vars());
+    listed_.grow(formula.n_vars());
+  }
 
   Result run() {
     util::Timer timer;
@@ -86,12 +87,12 @@ class Extractor {
   }
 
   /// Variables of the block in order of first appearance.
-  [[nodiscard]] std::vector<Var> block_variables() const {
+  [[nodiscard]] std::vector<Var> block_variables() {
     std::vector<Var> vars;
-    std::unordered_set<Var> seen;
+    listed_.clear();
     for (const std::size_t ci : block_) {
       for (const Lit lit : formula_.clause(ci)) {
-        if (seen.insert(lit.var()).second) vars.push_back(lit.var());
+        if (listed_.insert(lit.var())) vars.push_back(lit.var());
       }
     }
     return vars;
@@ -142,7 +143,7 @@ class Extractor {
       }
       if (!complement) continue;
 
-      const ExprId simplified = exprs_.simplify(f, kSimplifyMaxVars);
+      const ExprId simplified = exprs_.simplify(f);
       if (exprs_.is_const(simplified)) {
         // Constant constraint: v is a primary output pinned to f's value.
         definitions_.push_back(Definition{Definition::Kind::kConstant, v,
@@ -183,7 +184,7 @@ class Extractor {
       conjuncts.push_back(exprs_.mk_or(std::move(disjuncts)));
     }
     ExprId conj = exprs_.mk_and(std::move(conjuncts));
-    conj = exprs_.simplify(conj, kSimplifyMaxVars);
+    conj = exprs_.simplify(conj);
     clear_block();
     ++n_flushed_blocks_;
 
@@ -274,7 +275,8 @@ class Extractor {
   expr::Manager exprs_;
   std::vector<VarRole> roles_;
   std::vector<std::size_t> block_;  // pending clause indices (SC)
-  std::unordered_set<Var> block_vars_;
+  util::StampSet block_vars_;       // variables of SC
+  util::StampSet listed_;           // seen set of block_variables()
   std::vector<Definition> definitions_;
   std::size_t n_gate_definitions_ = 0;
   std::size_t n_const_promotions_ = 0;

@@ -21,6 +21,12 @@
 // The resulting circuit has "constrained paths" (cones of the constrained
 // outputs, which gradient descent must solve) and "unconstrained paths"
 // (everything else; any random input works) — see Fig. 1 of the paper.
+//
+// Cost: one expr::Manager per call holds every expression, so
+// simplify's Quine-McCluskey runs once per distinct truth table (Prod-8:
+// 30 tables over 28,816 calls), and the exact checks reuse the Manager's
+// traversal arrays.  The call is single-threaded; concurrent calls share
+// nothing.
 
 #include <cstdint>
 #include <string>
@@ -38,9 +44,9 @@ enum class VarRole : std::uint8_t {
   kPrimaryOutput,
 };
 
-/// Empty: Algorithm 1 has no settings (the block cap and the resynthesis
-/// bound are constants in transform.cpp).  It stays only because the
-/// benchmark's replica (perfbench/src/layers.cpp) constructs
+/// Empty: Algorithm 1 has no settings (the block cap is a constant in
+/// transform.cpp, the resynthesis bound one in expr.cpp).  It stays only
+/// because the benchmark's replica (perfbench/src/layers.cpp) constructs
 /// `transform::Config{}`; it goes when that replica does.
 struct Config {};
 

@@ -46,11 +46,14 @@ TEST(TruthTable, ProjectionAboveWordBoundary) {
 }
 
 TEST(TruthTable, OperatorsMatchSemantics) {
-  const TruthTable x = TruthTable::projection(3, 0);
-  const TruthTable y = TruthTable::projection(3, 2);
-  const TruthTable conj = x & y;
-  const TruthTable disj = x | y;
-  const TruthTable exor = x ^ y;
+  // Manager::truth_table combines tables word by word.
+  Manager mgr;
+  const ExprId x = mgr.var(0);
+  const ExprId y = mgr.var(2);
+  const std::vector<std::uint32_t> support{0, 1, 2};
+  const TruthTable conj = mgr.truth_table(mgr.mk_and2(x, y), support);
+  const TruthTable disj = mgr.truth_table(mgr.mk_or2(x, y), support);
+  const TruthTable exor = mgr.truth_table(mgr.mk_xor2(x, y), support);
   for (std::uint64_t row = 0; row < 8; ++row) {
     const bool xv = (row & 1) != 0;
     const bool yv = (row & 4) != 0;
@@ -298,6 +301,51 @@ TEST_F(ExprTest, SimplifyPreservesSemanticsRandomized) {
     EXPECT_TRUE(mgr.equivalent(original, simplified)) << "trial " << trial;
     EXPECT_LE(mgr.op_count_2input(simplified), mgr.op_count_2input(original));
   }
+}
+
+TEST_F(ExprTest, SimplifyMemoKeysOnVariableCount) {
+  // x0 & x1 over two variables and x0 & x1 & ~x2 over three hold the same
+  // table word, 0x8: a memo keyed on the words alone hands the 3-variable
+  // function the 2-variable cover x0 & x1.
+  for (const bool two_first : {true, false}) {
+    Manager m;
+    const ExprId two = m.mk_and2(m.var(0), m.var(1));
+    const ExprId three = m.mk_and({m.var(0), m.var(1), m.mk_not(m.var(2))});
+    ASSERT_EQ(m.truth_table(two, std::vector<std::uint32_t>{0, 1}).words()[0], 0x8u);
+    ASSERT_EQ(m.truth_table(three, std::vector<std::uint32_t>{0, 1, 2}).words()[0],
+              0x8u);
+    const std::vector<ExprId> order =
+        two_first ? std::vector<ExprId>{two, three} : std::vector<ExprId>{three, two};
+    for (const ExprId e : order) {
+      EXPECT_TRUE(m.equivalent(m.simplify(e), e))
+          << m.to_string(e) << (two_first ? " (2 variables first)" : "");
+    }
+  }
+}
+
+TEST_F(ExprTest, InternIsStableAcrossTableGrowth) {
+  // Over 100K distinct nodes grow the unique table many times; every node
+  // must still be found, so rebuilding one returns its id and adds nothing.
+  constexpr std::uint32_t kVars = 40000;
+  std::vector<ExprId> built;
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    const ExprId x = mgr.var(v);
+    built.push_back(x);
+    built.push_back(mgr.mk_not(x));
+    if (v > 0) built.push_back(mgr.mk_and2(mgr.var(v - 1), x));
+  }
+  const std::size_t n_nodes = mgr.n_nodes();
+  ASSERT_GE(n_nodes, 100000u);
+  std::size_t i = 0;
+  std::size_t moved = 0;
+  for (std::uint32_t v = 0; v < kVars; ++v) {
+    const ExprId x = mgr.var(v);
+    moved += x != built[i++];
+    moved += mgr.mk_not(x) != built[i++];
+    if (v > 0) moved += mgr.mk_and2(mgr.var(v - 1), x) != built[i++];
+  }
+  EXPECT_EQ(moved, 0u);
+  EXPECT_EQ(mgr.n_nodes(), n_nodes);
 }
 
 TEST_F(ExprTest, OpCountSharesCommonSubDags) {

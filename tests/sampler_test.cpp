@@ -323,6 +323,11 @@ TEST(GradientSampler, MalformedConfigsAreRejected) {
     const char* field;
   } kMalformed[] = {
       {[](GdLoopConfig& c) { c.batch = 0; }, "batch"},
+      // Padding to whole 64-row words wraps SIZE_MAX to 0 rows; 2^62 rows
+      // of 7 floats overflow V's size.
+      {[](GdLoopConfig& c) { c.batch = std::numeric_limits<std::size_t>::max(); },
+       "batch"},
+      {[](GdLoopConfig& c) { c.batch = std::size_t{1} << 62; }, "batch"},
       {[](GdLoopConfig& c) { c.iterations = -1; }, "iterations"},
       {[](GdLoopConfig& c) { c.iterations = -2; }, "iterations"},
       {[](GdLoopConfig& c) { c.learning_rate = 0.0f; }, "learning_rate"},
@@ -358,6 +363,15 @@ TEST(GradientSampler, MalformedConfigsAreRejected) {
     expect_rejected([&] { return diff.run(f, fast_options()); },
                     malformed.field);
   }
+}
+
+TEST(GradientSampler, MalformedConfigIsRejectedBeforeTheTransform) {
+  GradientConfig config = small_config();
+  config.batch = 0;
+  GradientSampler sampler(config);
+  EXPECT_THROW((void)sampler.run(small_formula(), fast_options()),
+               std::invalid_argument);
+  EXPECT_FALSE(sampler.transform_stats().has_value());
 }
 
 TEST(GradientSampler, RespectsDeadline) {

@@ -629,6 +629,9 @@ TEST(ServiceAdmission, ZeroBatchIsRejectedAtSubmitAndSparesItsNeighbor) {
     const char* field;
   } kMalformed[] = {
       {spoiled([](auto& c) { c.batch = 0; }), "batch"},
+      {spoiled([](auto& c) { c.batch = std::numeric_limits<std::size_t>::max(); }),
+       "batch"},
+      {spoiled([](auto& c) { c.batch = std::size_t{1} << 62; }), "batch"},
       {spoiled([](auto& c) { c.iterations = -1; }), "iterations"},
       {spoiled([](auto& c) { c.learning_rate = 0.0f; }), "learning_rate"},
       {spoiled([](auto& c) { c.learning_rate = kNan; }), "learning_rate"},
