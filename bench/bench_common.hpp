@@ -11,13 +11,15 @@
 //   HTS_BENCH_BATCH          gradient sampler batch size (0 = per-instance)
 //
 // A negative HTS_BENCH_MIN_SOLUTIONS or HTS_BENCH_BATCH prints a message
-// naming the variable and exits with status 2.
+// naming the variable and exits with status 2, and so does any setting the
+// library refuses with std::invalid_argument (see run_main).
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -43,6 +45,19 @@ inline std::size_t env_count(const char* name, std::int64_t fallback) {
     std::exit(2);
   }
   return static_cast<std::size_t>(value);
+}
+
+/// Runs a bench's body as its main.  A std::invalid_argument that escapes
+/// the body (a setting the library refuses, such as a batch too large for
+/// its buffers) prints its message and exits with status 2, as env_count
+/// does, instead of aborting from std::terminate.
+inline int run_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 2;
+  }
 }
 
 struct BenchEnv {

@@ -50,7 +50,7 @@ void fit_loglog(const std::vector<Point>& points, double& a, double& b) {
 
 }  // namespace
 
-int main() {
+int bench_main(int /*argc*/, char** /*argv*/) {
   using namespace hts;
   bench::BenchEnv env;
   // Fig. 2 visits 60 instances x 4 samplers: default to a tighter budget so
@@ -109,4 +109,8 @@ int main() {
               "where the CPU samplers deliver 1e1-1e3, with only a slight latency\n"
               "increase as the solution count grows (flattest trend line).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

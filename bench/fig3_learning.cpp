@@ -16,7 +16,7 @@
 #include "prob/engine.hpp"
 #include "transform/transform.hpp"
 
-int main() {
+int bench_main(int /*argc*/, char** /*argv*/) {
   using namespace hts;
   const bench::BenchEnv env;
   const double mem_cap_mb = util::env_double("HTS_BENCH_MEM_CAP_MB", 2048.0);
@@ -89,4 +89,8 @@ int main() {
               "Model column reproduces that curve; the Engine column grows with\n"
               "inputs, not circuit size, because only V is batch-sized.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

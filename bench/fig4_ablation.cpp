@@ -66,7 +66,7 @@ std::size_t yield_one_round(const cnf::Formula& formula, float lr,
 
 }  // namespace
 
-int main() {
+int bench_main(int /*argc*/, char** /*argv*/) {
   using namespace hts;
   const bench::BenchEnv env;
   const std::int64_t rounds_env = util::env_int("HTS_BENCH_ABLATION_ROUNDS", 3);
@@ -162,4 +162,8 @@ int main() {
   std::printf("--- init-std sweep at lr=10 ---\n");
   std::printf("%s\n", std_table.to_string().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

@@ -72,7 +72,7 @@ WorkerRun run_with_workers(const cnf::Formula& formula,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::BenchEnv env;
   bench::JsonWriter json(argc, argv, "round_parallel");
   const std::size_t hardware =
@@ -190,4 +190,8 @@ int main(int argc, char** argv) {
               "not regressed by the worker machinery.\n");
   if (!json.write(env)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

@@ -174,7 +174,7 @@ Aggregate run_service_concurrent(const cnf::Formula& formula,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::BenchEnv env;
   bench::JsonWriter json(argc, argv, "service_throughput");
   std::string trace_path;
@@ -841,4 +841,8 @@ int main(int argc, char** argv) {
               "time-slicing keeping short jobs out from behind batch jobs.\n");
   if (!json.write(env)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 
-int main() {
+int bench_main(int /*argc*/, char** /*argv*/) {
   using namespace hts;
   const bench::BenchEnv env;
 
@@ -67,4 +67,8 @@ int main() {
               "best baseline; UniGen3 0.2-95 sol/s; CMSGen TOs on Prod-20/32;\n"
               "DiffSampler TOs on s15850a_* and Prod-*.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

@@ -173,7 +173,7 @@ std::string width_histogram(const prob::ExecPlan& plan) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   bench::BenchEnv env;
   bench::JsonWriter json(argc, argv, "tape_engine");
   // A fraction of the sampler budget per (instance, mode) keeps the default
@@ -361,4 +361,8 @@ int main(int argc, char** argv) {
       any_doubled ? " -- met" : " -- NOT met at this budget");
   if (!json.write(env)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

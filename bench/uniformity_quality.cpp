@@ -21,7 +21,7 @@
 #include "bench_common.hpp"
 #include "cnf/dimacs.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace hts;
   const bench::BenchEnv env;
   bench::JsonWriter json(argc, argv, "uniformity_quality");
@@ -198,4 +198,8 @@ int main(int argc, char** argv) {
               "amplified gradient run shows what the flip mutants cost on top.\n");
   if (!json.write(env)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hts::bench::run_main(bench_main, argc, argv);
 }

@@ -7,6 +7,10 @@
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 namespace hts::prob {
 
 // V is tiled: the batch is cut into tiles of kTileRows rows, and each tile
@@ -194,6 +198,25 @@ inline void backward_run(OpCode code, const ExecPlan& plan, std::uint32_t begin,
   }
 }
 
+/// Sets FTZ|DAZ in this thread's MXCSR for the guard's lifetime and then
+/// restores the saved mode, so only the sweep computes with denormals
+/// flushed (see engine.hpp).  Without SSE it does nothing.
+#if defined(__SSE__)
+class FlushDenormals {
+ public:
+  FlushDenormals() : saved_(_mm_getcsr()) { _mm_setcsr(saved_ | kFtzDaz); }
+  ~FlushDenormals() { _mm_setcsr(saved_); }
+  FlushDenormals(const FlushDenormals&) = delete;
+  FlushDenormals& operator=(const FlushDenormals&) = delete;
+
+ private:
+  static constexpr unsigned kFtzDaz = 0x8040;
+  unsigned saved_;
+};
+#else
+struct FlushDenormals {};
+#endif
+
 /// Forward pass of one tile: every run of the plan, in plan order.
 inline void forward_tile(const ExecPlan& plan, float* act) {
   const auto& rb = plan.run_begin;
@@ -260,31 +283,47 @@ std::size_t Engine::v_index(std::size_t input, std::size_t row) const {
          (row % kTileRows);
 }
 
+util::ThreadPool* Engine::fill_pool() const {
+  return n_parts_ > 1 ? &util::ThreadPool::global() : nullptr;
+}
+
 void Engine::randomize(util::Rng& rng) {
-  for (std::size_t i = 0; i < v_.size(); ++i) {
-    v_[i] = static_cast<float>(rng.next_gaussian()) * config_.init_std;
-  }
+  rng.fill_gaussian(
+      v_.size(), config_.init_std,
+      [this](std::size_t k) {
+        return [slot = v_.data() + k]() mutable -> float& { return *slot++; };
+      },
+      fill_pool());
 }
 
 std::size_t Engine::rerandomize_rows(const std::vector<std::uint64_t>& mask,
                                      util::Rng& rng) {
   const std::size_t n_inputs = compiled_->n_circuit_inputs();
-  std::size_t n_rows = 0;
+  // Each listed row's input-0 offset in V, in tile then row order; draw k
+  // goes to input k % n_inputs of row k / n_inputs.
+  std::vector<std::size_t> rows;
   const std::size_t words = std::min(mask.size(), n_tiles_);
   for (std::size_t t = 0; t < words; ++t) {
-    std::uint64_t bits = mask[t];
-    while (bits != 0) {
-      const auto r = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      float* v = v_.data() + t * n_inputs * kTileRows + r;
-      for (std::size_t i = 0; i < n_inputs; ++i) {
-        v[i * kTileRows] =
-            static_cast<float>(rng.next_gaussian()) * config_.init_std;
-      }
-      ++n_rows;
+    for (std::uint64_t bits = mask[t]; bits != 0; bits &= bits - 1) {
+      rows.push_back(t * n_inputs * kTileRows +
+                     static_cast<std::size_t>(std::countr_zero(bits)));
     }
   }
-  return n_rows;
+  rng.fill_gaussian(
+      rows.size() * n_inputs, config_.init_std,
+      [&](std::size_t k) {
+        return [v = v_.data(), row = rows.data() + k / n_inputs,
+                i = k % n_inputs, n_inputs]() mutable -> float& {
+          float& slot = v[*row + i * kTileRows];
+          if (++i == n_inputs) {
+            i = 0;
+            ++row;
+          }
+          return slot;
+        };
+      },
+      fill_pool());
+  return rows.size();
 }
 
 void Engine::pin_row_inputs(std::size_t row,
@@ -472,6 +511,7 @@ void Engine::sweep(bool with_grad) {
   const bool want_loss = config_.compute_loss || !with_grad;
   const std::size_t part_floats = 2 * compiled_->n_slots() * kTileRows;
   auto run_parts = [&](std::size_t begin, std::size_t end) {
+    [[maybe_unused]] FlushDenormals flush;
     for (std::size_t p = begin; p < end; ++p) {
       float* act = scratch_.data() + p * part_floats;
       float* grad = act + part_floats / 2;

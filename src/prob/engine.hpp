@@ -15,6 +15,21 @@
 // Config::fast_sigmoid = false selects the exact std::exp path for A/B
 // parity runs.
 //
+// Sweeps compute with denormals flushed: each part runs its tiles with
+// FTZ|DAZ set in MXCSR and restores the thread's mode afterwards, so
+// nothing outside the sweep (the transform, the harvester, callers) ever
+// runs in that mode.  On deep circuits the backward pass multiplies many
+// small partials, the gradients underflow, and x86 computes denormals on a
+// slow microcode path.  Flushing cannot move V: a denormal gradient g
+// makes an update lr * g * p * (1 - p) far below half an ulp of any |V|
+// above about 1e-30 (Gaussian draws and pins never come near that), and
+// flushing a denormal activation to zero changes the partials downstream
+// of it only by denormal amounts.  Row losses square (y - t) in float,
+// where a denormal y squares to zero either way; only last_loss(), summed
+// in double, can lose terms near 1e-76.  The goldens, and a test whose AND
+// chain runs its gradients through the denormal range, hold V
+// bit-identical to an engine without the flush.
+//
 // Every policy executes the compiled ExecPlan in plan order (forward) and
 // reverse plan order (backward) through opcode-run-batched kernels: the
 // plan clusters same-opcode ops into runs, and kernels dispatch once per
@@ -31,9 +46,11 @@
 // the per-row loss.
 //
 // Scheduling (Config::policy):
-//   kSerial        one part: the calling thread walks every tile,
+//   kSerial        one part: the calling thread walks every tile and draws
+//                  every V value,
 //   kDataParallel  min(tiles, pool size) parts, each walking one contiguous
-//                  tile range on the thread pool (batch/64-way parallel).
+//                  tile range on the thread pool (batch/64-way parallel);
+//                  with more than one part, V draws run on the pool too.
 
 #include <cstdint>
 #include <vector>
@@ -87,14 +104,18 @@ class Engine {
     return slot_biases_.size() + free_biases_.size();
   }
 
-  /// Draws fresh V ~ N(0, init_std^2) for every input and row.
+  /// Draws fresh V ~ N(0, init_std^2) for every input and row, in V's
+  /// storage order.  A multi-part engine replays the draws on the pool
+  /// (util::Rng::fill_gaussian), so V and the state left in `rng` are the
+  /// same bits under any policy and pool size.
   void randomize(util::Rng& rng);
 
   /// Redraws V (every input) for each row whose bit is set in `mask`
   /// (same word layout as harden(): bit r of word t is row 64t + r).
   /// Powers solved-row restarts: rows that already satisfied are re-seeded
   /// instead of re-descending a converged basin.  Returns the number of
-  /// rows redrawn.  Deterministic draw order: tile, then row, then input.
+  /// rows redrawn.  Deterministic draw order: tile, then row, then input,
+  /// under any policy and pool size, as for randomize().
   std::size_t rerandomize_rows(const std::vector<std::uint64_t>& mask,
                                util::Rng& rng);
 
@@ -193,6 +214,9 @@ class Engine {
   void seed_gradients(const float* act, float* grad) const;
   void update_tile(std::size_t tile, const float* act, const float* grad);
   [[nodiscard]] std::size_t v_index(std::size_t input, std::size_t row) const;
+  /// The pool V draws are replayed on: the global pool for a multi-part
+  /// engine, none (a serial fill) for a one-part engine.
+  [[nodiscard]] util::ThreadPool* fill_pool() const;
 
   const CompiledCircuit* compiled_;
   Config config_;

@@ -6,7 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <limits>
+#include <thread>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
@@ -578,6 +587,157 @@ TEST(Engine, MemoryIsTileResident) {
     const std::size_t padded = (batch + 63) / 64 * 64;
     EXPECT_EQ(Engine::predicted_bytes(compiled, batch),
               (2 * n_inputs + 2 * compiled.n_slots()) * padded * sizeof(float));
+  }
+}
+
+// --- V draws and the denormal guard ----------------------------------------------
+
+/// V's bits for every input and every row of every tile, padding included.
+std::vector<std::uint32_t> v_bits(const Engine& engine) {
+  std::vector<std::uint32_t> bits;
+  const std::size_t rows = engine.n_words() * Engine::kTileRows;
+  for (std::size_t i = 0; i < engine.n_inputs(); ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      bits.push_back(std::bit_cast<std::uint32_t>(engine.v_value(i, r)));
+    }
+  }
+  return bits;
+}
+
+TEST(Engine, ParallelDrawsMatchSerialBits) {
+  // A multi-part engine replays its V draws on the pool; the bits and the
+  // stream it leaves must be a one-part engine's.  101 inputs x 4133 rows
+  // is past the fill's parallel threshold, the last tile holds 37 rows, and
+  // the odd input count leaves a spare after an odd number of restarts.
+  Circuit c;
+  std::vector<SignalId> ins;
+  for (int i = 0; i < 101; ++i) ins.push_back(c.add_input());
+  c.add_output(c.add_gate(GateType::kOr, ins), true);
+  const CompiledCircuit compiled(c);
+  ASSERT_EQ(compiled.n_circuit_inputs(), 101u);
+  auto make = [&](tensor::Policy policy) {
+    Engine::Config config;
+    config.batch = 4133;
+    config.policy = policy;
+    return Engine(compiled, config);
+  };
+  Engine serial = make(tensor::Policy::kSerial);
+  Engine parallel = make(tensor::Policy::kDataParallel);
+  util::Rng serial_rng(5);
+  util::Rng parallel_rng(5);
+  serial.randomize(serial_rng);
+  parallel.randomize(parallel_rng);
+  ASSERT_TRUE(v_bits(serial) == v_bits(parallel));
+
+  // Every third row and the batch's last row, in the partial last word:
+  // 1,379 rows.  The second restart starts with the first one's spare.
+  std::vector<std::uint64_t> mask(serial.n_words(), 0);
+  for (std::size_t r = 0; r < 4133; r += 3) mask[r / 64] |= 1ULL << (r % 64);
+  mask[4132 / 64] |= 1ULL << (4132 % 64);
+  for (int restart = 0; restart < 2; ++restart) {
+    EXPECT_EQ(serial.rerandomize_rows(mask, serial_rng), 1379u);
+    EXPECT_EQ(parallel.rerandomize_rows(mask, parallel_rng), 1379u);
+    ASSERT_TRUE(v_bits(serial) == v_bits(parallel)) << restart;
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial_rng.next_gaussian()),
+              std::bit_cast<std::uint64_t>(parallel_rng.next_gaussian()));
+  }
+}
+
+#if defined(__SSE__)
+TEST(Engine, SweepRestoresTheFloatMode) {
+  // The sweep computes with denormals flushed (FTZ|DAZ) only while it
+  // runs: the caller's MXCSR reads the same afterwards, and the pool
+  // workers that ran parts are back in the default mode for the next
+  // parallel_for.
+  constexpr unsigned kFtzDaz = 0x8040;
+  Circuit c;
+  const SignalId a = c.add_input();
+  const SignalId b = c.add_input();
+  c.add_output(c.add_gate(GateType::kXor, {a, b}), true);
+  const CompiledCircuit compiled(c);
+  for (const tensor::Policy policy :
+       {tensor::Policy::kSerial, tensor::Policy::kDataParallel}) {
+    Engine::Config config;
+    config.batch = 1024;
+    config.policy = policy;
+    Engine engine(compiled, config);
+    util::Rng rng(13);
+    engine.randomize(rng);
+    const unsigned before = _mm_getcsr();
+    ASSERT_EQ(before & kFtzDaz, 0u);
+    engine.run_iteration();
+    EXPECT_EQ(_mm_getcsr(), before);
+    engine.forward_only();
+    EXPECT_EQ(_mm_getcsr(), before);
+  }
+  // One task per worker: each task waits until every worker holds one, so
+  // no worker can take two and every worker reports its mode.
+  util::ThreadPool& pool = util::ThreadPool::global();
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<unsigned> modes{0};
+  pool.parallel_for(pool.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      modes |= _mm_getcsr() & kFtzDaz;
+      ++arrived;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < pool.size() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  EXPECT_EQ(arrived.load(), pool.size());
+  EXPECT_EQ(modes.load(), 0u);
+}
+#endif
+
+TEST(Engine, DenormalGradientsLeaveVAsRecorded) {
+  // A 120-input AND chain: its partial products, and the gradients flowing
+  // back along it, pass through the denormal range on most rows, where the
+  // sweep flushes them to zero.  An XOR of the chain's ends gives those two
+  // inputs ordinary gradients too.  The hash was recorded on an engine
+  // that computed with denormals; flushing them must not move one bit.
+  constexpr std::size_t kChain = 120;
+  constexpr std::size_t kBatch = 512;
+  Circuit c;
+  std::vector<SignalId> ins;
+  for (std::size_t i = 0; i < kChain; ++i) ins.push_back(c.add_input());
+  SignalId chain = ins[0];
+  for (std::size_t i = 1; i < kChain; ++i) {
+    chain = c.add_gate(GateType::kAnd, {chain, ins[i]});
+  }
+  c.add_output(chain, true);
+  c.add_output(c.add_gate(GateType::kXor, {ins.front(), ins.back()}), true);
+  const CompiledCircuit compiled(c);
+  for (const tensor::Policy policy :
+       {tensor::Policy::kSerial, tensor::Policy::kDataParallel}) {
+    Engine::Config config;
+    config.batch = kBatch;
+    config.policy = policy;
+    Engine engine(compiled, config);
+    util::Rng rng(2024);
+    engine.randomize(rng);
+    // The chain's full product underflows past the smallest normal float.
+    std::size_t underflowing = 0;
+    for (std::size_t r = 0; r < kBatch; ++r) {
+      double log_product = 0.0;
+      for (std::size_t i = 0; i < kChain; ++i) {
+        log_product -= std::log1p(std::exp(-double{engine.v_value(i, r)}));
+      }
+      if (log_product < std::log(double{std::numeric_limits<float>::min()})) {
+        ++underflowing;
+      }
+    }
+    EXPECT_GT(underflowing, kBatch * 3 / 4);
+    for (int i = 0; i < 10; ++i) engine.run_iteration();
+    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+    for (const std::uint32_t bits : v_bits(engine)) {
+      hash = (hash ^ bits) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(hash, 0xd30230f9d7fdfd47ULL) << std::hex << hash;
   }
 }
 

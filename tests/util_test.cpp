@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -226,6 +228,74 @@ TEST(Rng, StreamIndependentOfParentConsumption) {
   Rng a = Rng::stream(5, 2);
   Rng b = Rng::stream(5, 2);
   EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, JumpEqualsStepping) {
+  // The stride matrix applied to a state is kJumpStride steps, from any
+  // state, including one already jumped.
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
+    Rng jumped(seed);
+    Rng stepped(seed);
+    for (int round = 0; round < 2; ++round) {
+      jumped.jump();
+      for (std::size_t i = 0; i < Rng::kJumpStride; ++i) (void)stepped.next_u64();
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(jumped.next_u64(), stepped.next_u64()) << seed << ' ' << round;
+      }
+    }
+  }
+}
+
+TEST(Rng, GaussianFillMatchesSerialDraws) {
+  // The fill writes exactly the floats n next_gaussian() calls give, leaves
+  // the stream where they would, and does so on any pool size: sizes
+  // straddle the stride, the parallel threshold and many strides, with and
+  // without a spare pending on entry.  Draws land in reverse order so every
+  // cursor must be sought at its own draw index.
+  constexpr float kScale = 2.0f;
+  constexpr std::size_t kStride = Rng::kJumpStride;
+  const std::vector<std::size_t> sizes = {0, 1, 2, 3, kStride - 1, kStride + 1,
+                                          Rng::kParallelFillMin - 1,
+                                          Rng::kParallelFillMin,
+                                          5 * kStride + 1, 200001};
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : sizes) {
+      for (const bool spare : {false, true}) {
+        Rng serial(1000 + n);
+        Rng filled(1000 + n);
+        if (spare) {
+          (void)serial.next_gaussian();
+          (void)filled.next_gaussian();
+        }
+        std::vector<float> want(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          want[n - 1 - k] = static_cast<float>(serial.next_gaussian()) * kScale;
+        }
+        std::vector<float> got(n, std::nanf(""));
+        filled.fill_gaussian(
+            n, kScale,
+            [&](std::size_t k) {
+              return [&got, i = n - 1 - k]() mutable -> float& {
+                return got[i--];
+              };
+            },
+            &pool);
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[k]),
+                    std::bit_cast<std::uint32_t>(want[k]))
+              << "threads " << threads << " n " << n << " spare " << spare
+              << " slot " << k;
+        }
+        for (int i = 0; i < 5; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(filled.next_gaussian()),
+                    std::bit_cast<std::uint64_t>(serial.next_gaussian()))
+              << "threads " << threads << " n " << n << " spare " << spare
+              << " draw after " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Table, AlignsAndRendersRows) {
